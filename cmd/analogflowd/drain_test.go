@@ -260,7 +260,7 @@ func TestDrainSessionUpdateEmitsTerminalRecord(t *testing.T) {
 // session past the TTL is evicted by the janitor sweep, its warm solver
 // state is released, later updates see 410 Gone with a session-expired body
 // (distinct from the 404 an unknown id gets), and the eviction is accounted
-// in /v1/healthz.
+// in /v1/stats.
 func TestSessionTTLEvictionFreesWarmState(t *testing.T) {
 	svc := solve.NewService(solve.Config{Workers: 1})
 	srv := newServer(svc, serverConfig{sessionTTL: 50 * time.Millisecond})
@@ -335,34 +335,13 @@ func TestSessionTTLEvictionFreesWarmState(t *testing.T) {
 	if resp.StatusCode != http.StatusGone {
 		t.Errorf("delete on evicted session: status %d, want 410", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
+	// /v1/stats accounts the eviction.
+	var fleet struct {
+		Sessions statsSessions `json:"sessions"`
 	}
-	var health map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if health["expired_sessions"].(float64) != 1 {
-		t.Errorf("healthz expired_sessions = %v, want 1", health["expired_sessions"])
-	}
-	if health["sessions"].(float64) != 0 {
-		t.Errorf("healthz still lists %v sessions", health["sessions"])
-	}
-	// The slim healthz and /v1/stats account the eviction too.
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fleet map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	sessBlock, _ := fleet["sessions"].(map[string]any)
-	if sessBlock == nil || sessBlock["expired"].(float64) != 1 || sessBlock["live"].(float64) != 0 {
-		t.Errorf("stats sessions block %v, want expired=1 live=0", sessBlock)
+	getStats(t, ts.URL, &fleet)
+	if fleet.Sessions.Expired != 1 || fleet.Sessions.Live != 0 {
+		t.Errorf("stats sessions block %+v, want expired=1 live=0", fleet.Sessions)
 	}
 }
 
@@ -444,18 +423,12 @@ func TestShedSolve429WithRetryAfter(t *testing.T) {
 
 	close(gate.release)
 	wg.Wait()
-	resp, err = http.Get(ts.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
+	var fleet struct {
+		Stats solve.Stats `json:"stats"`
 	}
-	var health map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	stats := health["stats"].(map[string]any)
-	if stats["shed_requests"].(float64) < 1 {
-		t.Errorf("healthz shed_requests = %v, want >= 1", stats["shed_requests"])
+	getStats(t, ts.URL, &fleet)
+	if fleet.Stats.ShedRequests < 1 {
+		t.Errorf("stats shed_requests = %d, want >= 1", fleet.Stats.ShedRequests)
 	}
 }
 

@@ -9,11 +9,11 @@
 //	GET    /v1/healthz              liveness: status, version, draining
 //	GET    /v1/readyz               readiness (503 while draining)
 //	GET    /v1/metrics              Prometheus text-format scrape of every instrument
-//	GET    /v1/stats                fleet JSON: workers, queues, caches, sessions, governor, per-backend latency windows
+//	GET    /v1/stats                fleet JSON: workers, queues, caches, sessions, per-backend latency windows
 //	POST   /v1/solve                solve a batch; results stream back as NDJSON
 //	POST   /v1/sessions             open a long-lived update session (solves the base problem)
 //	POST   /v1/sessions/{id}/update apply capacity-update steps; one NDJSON report per step
-//	DELETE /v1/sessions/{id}        close a session
+//	DELETE /v1/sessions/{id}        close a session and release its warm state
 //
 // Every non-stream error answers with one uniform JSON envelope,
 // {"error":{"code","message",...}}; docs/api.md tabulates the codes.
@@ -105,10 +105,6 @@ func run(args []string, stdout io.Writer) error {
 		sessionTTL     = fs.Duration("session-ttl", 10*time.Minute, "idle time after which a session is evicted and its warm solver state released (0 = never)")
 		drainTimeout   = fs.Duration("drain-timeout", 15*time.Second, "how long SIGINT/SIGTERM waits for in-flight requests before closing connections")
 		pprofAddr      = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling entirely")
-		govEnabled     = fs.Bool("governor", false, "enable the adaptive governor: tune effective workers and substrate budget from observed saturation")
-		govInterval    = fs.Duration("governor-interval", 0, "governor tick period (0 = 500ms)")
-		govMaxWorkers  = fs.Int("governor-max-workers", 0, "governor clamp: max effective workers (0 = 4 × workers)")
-		govMinBudget   = fs.Int("governor-min-budget-vertices", 0, "governor clamp: min effective budget vertices under load (0 = budget-vertices / 4)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -123,14 +119,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	svc := solve.NewService(solve.Config{
 		Workers: *workers, MaxCachedInstances: *maxCached, MaxQueue: *maxQueue, Budget: budget,
-		Governor: solve.GovernorConfig{
-			Enabled:           *govEnabled,
-			Interval:          *govInterval,
-			MaxWorkers:        *govMaxWorkers,
-			MinBudgetVertices: *govMinBudget,
-		},
 	})
-	defer svc.Close()
 	srv := newServer(svc, serverConfig{sessionTTL: *sessionTTL, defaultTimeout: *defaultTimeout})
 	srv.startJanitor()
 	defer srv.stopJanitor()

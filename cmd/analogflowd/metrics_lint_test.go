@@ -3,7 +3,7 @@
 // name and label charsets, parseable sample values, counter monotonicity
 // across scrapes — plus the presence of the series the observability plane
 // promises (per-backend latency EMA, warm-hit ratios, lane queue depths,
-// governor gauges).  CI runs this test by name as the metrics-lint gate.
+// worker gauges).  CI runs this test by name as the metrics-lint gate.
 package main
 
 import (
@@ -128,10 +128,7 @@ func scrapeMetrics(t *testing.T, url string) (string, map[string]float64, map[st
 
 // TestMetricsExpositionLint is the CI metrics-lint gate.
 func TestMetricsExpositionLint(t *testing.T) {
-	svc := solve.NewService(solve.Config{
-		Workers:  2,
-		Governor: solve.GovernorConfig{}, // instruments register even when disabled
-	})
+	svc := solve.NewService(solve.Config{Workers: 2})
 	srv := newServer(svc, serverConfig{})
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
@@ -155,7 +152,6 @@ func TestMetricsExpositionLint(t *testing.T) {
 	// The promised observability series exist.
 	for _, want := range []string{
 		`analogflow_backend_latency_ema_milliseconds{backend="dinic"}`,
-		`analogflow_backend_latency_window_milliseconds{backend="dinic"}`,
 		`analogflow_requests_total`,
 		`analogflow_completed_total`,
 		`analogflow_warm_hit_ratio{cache="instance"}`,
@@ -164,8 +160,6 @@ func TestMetricsExpositionLint(t *testing.T) {
 		`analogflow_queue_depth{lane="urgent"}`,
 		`analogflow_queue_depth{lane="priority"}`,
 		`analogflow_queue_depth{lane="normal"}`,
-		`analogflow_governor_effective_workers`,
-		`analogflow_governor_effective_budget_vertices`,
 		`analogflow_workers_effective`,
 		`analogflow_workers_busy`,
 		`analogflow_in_flight_solves`,
@@ -242,8 +236,8 @@ func drainBody(resp *http.Response) {
 }
 
 // TestStatsEndpointShape pins the /v1/stats fleet aggregate: workers,
-// queues, cache, sessions, governor, per-backend windows, and the raw
-// counter dump all present and self-consistent.
+// queues, cache, sessions, per-backend windows, and the raw counter dump
+// all present and self-consistent.
 func TestStatsEndpointShape(t *testing.T) {
 	srv := newTestServer(t, 2)
 	_, _ = postSolve(t, srv, fmt.Sprintf(`{"solver":"dinic","problems":[%s]}`, figure5Inline))
@@ -261,7 +255,6 @@ func TestStatsEndpointShape(t *testing.T) {
 		Sessions struct {
 			Live int `json:"live"`
 		} `json:"sessions"`
-		Governor solve.GovernorSnapshot         `json:"governor"`
 		Backends map[string]solve.BackendWindow `json:"backends"`
 		Stats    solve.Stats                    `json:"stats"`
 	}
@@ -274,8 +267,8 @@ func TestStatsEndpointShape(t *testing.T) {
 	if out.Workers.Total < 1 || out.Workers.Free != out.Workers.Total-out.Workers.Busy {
 		t.Errorf("worker block inconsistent: %+v", out.Workers)
 	}
-	if out.Governor.EffectiveWorkers != out.Workers.Total {
-		t.Errorf("governor effective workers %d != worker total %d", out.Governor.EffectiveWorkers, out.Workers.Total)
+	if out.Workers.Total != 2 {
+		t.Errorf("worker total %d, want the configured 2", out.Workers.Total)
 	}
 	win, ok := out.Backends["dinic"]
 	if !ok {

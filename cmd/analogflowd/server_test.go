@@ -181,23 +181,11 @@ func TestHealthzEndpoint(t *testing.T) {
 	if _, ok := slim["stats"]; ok {
 		t.Errorf("slim healthz still carries the counter dump: %v", slim)
 	}
-	// The one-release compatibility shape keeps the old counter dump.
-	resp, err = http.Get(srv.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	// The counters live in /v1/stats.
 	var out struct {
-		Status string      `json:"status"`
-		Uptime float64     `json:"uptime_seconds"`
-		Stats  solve.Stats `json:"stats"`
+		Stats solve.Stats `json:"stats"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Status != "ok" {
-		t.Errorf("status %q", out.Status)
-	}
+	getStats(t, srv.URL, &out)
 	if out.Stats.Requests < 1 || out.Stats.Completed < 1 {
 		t.Errorf("counters did not move: %+v", out.Stats)
 	}
@@ -277,6 +265,19 @@ func TestSolveCancelledStreamEndsWithError(t *testing.T) {
 		if d, _ := m["done"].(bool); d {
 			t.Fatalf("done record before the end of a cancelled stream: %v", m)
 		}
+	}
+}
+
+// getStats fetches /v1/stats from base and decodes the body into out.
+func getStats(t *testing.T, base string, out any) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -409,11 +410,73 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionDeleteReleasesWarmState: DELETE /v1/sessions/{id} drops the
+// warm state the chain held — the flat instance, or the sharded chain's
+// region oracle — instead of leaving it cached until LRU eviction.
+func TestSessionDeleteReleasesWarmState(t *testing.T) {
+	for _, tc := range []struct {
+		name, create, update string
+		held                 [2]int // cached {instances, oracles} while live
+	}{
+		{"flat", fmt.Sprintf(`{"solver":"dinic","problem":%s}`, figure5Inline),
+			`{"updates":[{"edge":0,"capacity":1}]}`, [2]int{1, 0}},
+		{"sharded", `{"solver":"dinic","problem":{"rmat":{"vertices":200,"sparse":true,"seed":3}},"budget":{"max_vertices":80}}`,
+			`{"updates":[{"edge":5,"capacity":9}]}`, [2]int{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newTestServer(t, 2)
+			resp := postJSON(t, srv.URL+"/v1/sessions", tc.create)
+			var created struct {
+				SessionID string `json:"session_id"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if created.SessionID == "" {
+				t.Fatalf("create: status %d, no session id", resp.StatusCode)
+			}
+			// One step, so the warm state answers for the chain's current
+			// problem rather than its base.
+			resp = postJSON(t, srv.URL+"/v1/sessions/"+created.SessionID+"/update", tc.update)
+			lines := decodeLines(t, resp.Body)
+			resp.Body.Close()
+			if len(lines) == 0 || lines[len(lines)-1]["done"] != true {
+				t.Fatalf("update stream %v did not complete", lines)
+			}
+			var fleet struct {
+				Cache statsCache `json:"cache"`
+			}
+			getStats(t, srv.URL, &fleet)
+			if got := [2]int{fleet.Cache.Instances, fleet.Cache.Oracles}; got != tc.held {
+				t.Fatalf("live session holds {instances, oracles} %v, want %v", got, tc.held)
+			}
+
+			del, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/sessions/"+created.SessionID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dresp, err := http.DefaultClient.Do(del)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dresp.Body.Close()
+			if dresp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete: status %d", dresp.StatusCode)
+			}
+			getStats(t, srv.URL, &fleet)
+			if fleet.Cache.Instances != 0 || fleet.Cache.Oracles != 0 {
+				t.Errorf("deleted session left warm state cached: %+v", fleet.Cache)
+			}
+		})
+	}
+}
+
 // TestSessionStructuralSteps drives structural dynamics over the wire: a
 // remove_edges step parks an edge warm, a mixed step (capacity + add_edges)
 // reclaims the parked slot, and a legacy array-form step still works in the
 // same chain.  Structural step records carry structural/slack_remaining, and
-// /v1/healthz surfaces the structural counters.
+// /v1/stats surfaces the structural counters.
 func TestSessionStructuralSteps(t *testing.T) {
 	srv := newTestServer(t, 2)
 
@@ -494,20 +557,15 @@ func TestSessionStructuralSteps(t *testing.T) {
 		t.Errorf("capacity step record %v unexpectedly marked structural", steps[2])
 	}
 
-	hresp, err := http.Get(srv.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
+	var fleet struct {
+		Stats map[string]any `json:"stats"`
 	}
-	var health map[string]any
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
+	getStats(t, srv.URL, &fleet)
+	if fleet.Stats["structural_updates"] != 2.0 {
+		t.Errorf("stats structural_updates = %v, want 2", fleet.Stats["structural_updates"])
 	}
-	hresp.Body.Close()
-	if health["structural_updates"].(float64) != 2 {
-		t.Errorf("healthz structural_updates = %v, want 2", health["structural_updates"])
-	}
-	if _, ok := health["slack_exhausted_rebuilds"]; !ok {
-		t.Errorf("healthz lacks slack_exhausted_rebuilds: %v", health)
+	if _, ok := fleet.Stats["slack_exhausted_rebuilds"]; !ok {
+		t.Errorf("stats lacks slack_exhausted_rebuilds: %v", fleet.Stats)
 	}
 }
 
@@ -515,7 +573,7 @@ func TestSessionStructuralSteps(t *testing.T) {
 // budget runs every step through the partition planner — and stays warm step
 // to step, because the service re-binds the chain's cached region oracle
 // instead of rebuilding it cold.  The step reports carry the sharded plan and
-// /v1/healthz surfaces the sharded-update counters.
+// /v1/stats surfaces the sharded-update counters.
 func TestSessionShardedChainStaysWarm(t *testing.T) {
 	srv := newTestServer(t, 2)
 	resp := postJSON(t, srv.URL+"/v1/sessions", `{"solver":"dinic",
@@ -580,30 +638,23 @@ func TestSessionShardedChainStaysWarm(t *testing.T) {
 		t.Fatalf("streamed %d steps, want 2", steps)
 	}
 
-	hresp, err := http.Get(srv.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	var health struct {
+	var fleet struct {
 		Stats solve.Stats `json:"stats"`
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
+	getStats(t, srv.URL, &fleet)
+	if fleet.Stats.ShardedUpdates != 2 || fleet.Stats.ShardedUpdateWarmHits != 2 {
+		t.Errorf("stats sharded-update counters %d/%d warm, want 2/2",
+			fleet.Stats.ShardedUpdates, fleet.Stats.ShardedUpdateWarmHits)
 	}
-	if health.Stats.ShardedUpdates != 2 || health.Stats.ShardedUpdateWarmHits != 2 {
-		t.Errorf("healthz sharded-update counters %d/%d warm, want 2/2",
-			health.Stats.ShardedUpdates, health.Stats.ShardedUpdateWarmHits)
+	if fleet.Stats.CachedOracles != 1 {
+		t.Errorf("stats cached_oracles %d, want 1", fleet.Stats.CachedOracles)
 	}
-	if health.Stats.CachedOracles != 1 {
-		t.Errorf("healthz cached_oracles %d, want 1", health.Stats.CachedOracles)
+	if fleet.Stats.ConsensusWarmStarts < 1 {
+		t.Errorf("stats consensus_warm_starts %d, want >= 1 (the chain carries consensus state)",
+			fleet.Stats.ConsensusWarmStarts)
 	}
-	if health.Stats.ConsensusWarmStarts < 1 {
-		t.Errorf("healthz consensus_warm_starts %d, want >= 1 (the chain carries consensus state)",
-			health.Stats.ConsensusWarmStarts)
-	}
-	if health.Stats.AvgOuterIterations <= 0 {
-		t.Errorf("healthz avg_outer_iterations %g, want > 0", health.Stats.AvgOuterIterations)
+	if fleet.Stats.AvgOuterIterations <= 0 {
+		t.Errorf("stats avg_outer_iterations %g, want > 0", fleet.Stats.AvgOuterIterations)
 	}
 }
 
@@ -867,20 +918,13 @@ func TestSolveWithBudgetShardsAndReportsPlan(t *testing.T) {
 		t.Errorf("sharded flow %v vs exact %v beyond tolerance", flow, exact)
 	}
 
-	// Planner stats are visible through the verbose health endpoint.
-	resp, err := http.Get(srv.URL + "/v1/healthz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
+	// Planner stats are visible through /v1/stats.
+	var fleet struct {
 		Stats solve.Stats `json:"stats"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Stats.PlannedSolves != 1 || health.Stats.ShardedSolves != 1 {
-		t.Errorf("healthz planner stats %+v, want 1 planned / 1 sharded", health.Stats)
+	getStats(t, srv.URL, &fleet)
+	if fleet.Stats.PlannedSolves != 1 || fleet.Stats.ShardedSolves != 1 {
+		t.Errorf("stats planner stats %+v, want 1 planned / 1 sharded", fleet.Stats)
 	}
 }
 

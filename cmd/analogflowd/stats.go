@@ -47,18 +47,14 @@ type statsSessions struct {
 }
 
 // handleStats serves the fleet-style JSON aggregate: the operator view a
-// router or autoscaler polls — workers, queues, caches, sessions, governor,
-// per-backend latency windows — plus the full raw counter snapshot (the
-// dump that used to live in /v1/healthz) under "stats".
+// router or autoscaler polls — workers, queues, caches, sessions,
+// per-backend latency windows — plus the full raw counter snapshot under
+// "stats".
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := s.svc.Stats()
 	s.mu.Lock()
 	live := len(s.sessions)
 	s.mu.Unlock()
-	free := stats.EffectiveWorkers - stats.BusyWorkers
-	if free < 0 {
-		free = 0
-	}
 	var hitRatio float64
 	if total := stats.CacheHits + stats.CacheMisses; total > 0 {
 		hitRatio = float64(stats.CacheHits) / float64(total)
@@ -70,7 +66,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"workers": statsWorkers{
 			Total: stats.EffectiveWorkers,
 			Busy:  stats.BusyWorkers,
-			Free:  free,
+			Free:  stats.EffectiveWorkers - stats.BusyWorkers,
 			Queue: statsQueue{
 				Urgent:   stats.LaneDepths.Urgent,
 				Priority: stats.LaneDepths.Priority,
@@ -87,7 +83,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Expired:           s.expired.Value(),
 			ClientDisconnects: s.disconnects.Value(),
 		},
-		"governor":       stats.Governor,
 		"backends":       stats.BackendWindows,
 		"throughput_rps": stats.ThroughputRPS,
 		"stats":          stats,

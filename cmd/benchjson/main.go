@@ -16,8 +16,7 @@
 // instead of only the last run.  Every custom b.ReportMetric unit rides
 // along, so the warm-consensus series — speedup, rel-err-%, warm-iters/step
 // vs cold-iters/step, regions-skipped/step, warm-fraction — are published
-// without the command knowing their names.  A pre-history BENCH.json (bare
-// JSON array) is migrated into the history rather than dropped:
+// without the command knowing their names:
 //
 //	{"label":"31b39e3",
 //	 "results":[{"benchmark":"BenchmarkShardedUpdateResolve/dinic","runs":3,
@@ -180,9 +179,8 @@ type HistoryEntry struct {
 }
 
 // loadTrajectory reads an existing output file so history accumulates across
-// runs.  A missing file starts an empty trajectory; the pre-history format (a
-// bare JSON array of results) is migrated as a single "pre-history" entry
-// rather than dropped.
+// runs.  A missing file starts an empty trajectory; anything that is not a
+// trajectory object fails.
 func loadTrajectory(path string) (Trajectory, error) {
 	var traj Trajectory
 	data, err := os.ReadFile(path)
@@ -191,15 +189,6 @@ func loadTrajectory(path string) (Trajectory, error) {
 			return traj, nil
 		}
 		return traj, err
-	}
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var old []Result
-		if err := json.Unmarshal(data, &old); err != nil {
-			return traj, fmt.Errorf("existing %s is neither trajectory nor legacy array: %w", path, err)
-		}
-		traj.History = []HistoryEntry{{Label: "pre-history", Results: old}}
-		return traj, nil
 	}
 	if err := json.Unmarshal(data, &traj); err != nil {
 		return traj, fmt.Errorf("existing %s: %w", path, err)

@@ -108,8 +108,7 @@ func TestRunParseMode(t *testing.T) {
 
 // TestRunAppendsHistory pins the trajectory accumulation: repeated runs
 // append one history entry per distinct label, a rerun under the same label
-// replaces its entry, and a pre-history BENCH.json (bare array) is migrated
-// instead of dropped.
+// replaces its entry, and an existing file that is not a trajectory fails.
 func TestRunAppendsHistory(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bench.txt")
@@ -117,15 +116,6 @@ func TestRunAppendsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "bench.json")
-	// Seed the file with the pre-history format.
-	legacy := []Result{{Benchmark: "BenchmarkOld", Runs: 1, NsPerOp: 42}}
-	seed, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, seed, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	bench := "^(BenchmarkUpdateResolve|BenchmarkDecomposeScaling)$"
 	var stdout bytes.Buffer
 	for _, label := range []string{"sha1", "sha2", "sha2"} {
@@ -144,7 +134,7 @@ func TestRunAppendsHistory(t *testing.T) {
 	if traj.Label != "sha2" {
 		t.Errorf("label %q, want sha2", traj.Label)
 	}
-	want := []string{"pre-history", "sha1", "sha2"}
+	want := []string{"sha1", "sha2"}
 	if len(traj.History) != len(want) {
 		t.Fatalf("history has %d entries (%+v), want labels %v", len(traj.History), traj.History, want)
 	}
@@ -153,18 +143,18 @@ func TestRunAppendsHistory(t *testing.T) {
 			t.Errorf("history[%d].Label = %q, want %q", i, traj.History[i].Label, w)
 		}
 	}
-	if traj.History[0].Results[0].Benchmark != "BenchmarkOld" {
-		t.Errorf("legacy results not migrated: %+v", traj.History[0])
+	if len(traj.History[1].Results) != 2 {
+		t.Errorf("latest history entry has %d results, want 2", len(traj.History[1].Results))
 	}
-	if len(traj.History[2].Results) != 2 {
-		t.Errorf("latest history entry has %d results, want 2", len(traj.History[2].Results))
-	}
-	// Corrupt files must fail loudly, not silently restart the trajectory.
-	if err := os.WriteFile(out, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-parse", in, "-out", out, "-bench", bench}, &stdout); err == nil {
-		t.Error("corrupt existing file accepted")
+	// Corrupt files, and a bare results array, must fail loudly, not
+	// silently restart the trajectory.
+	for _, bad := range []string{"{not json", `[{"benchmark":"BenchmarkOld","runs":1,"ns_per_op":42}]`} {
+		if err := os.WriteFile(out, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-parse", in, "-out", out, "-bench", bench}, &stdout); err == nil {
+			t.Errorf("existing file %q accepted", bad)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sync"
 	"time"
 )
@@ -47,122 +46,6 @@ func (e *EMA) Count() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.n
-}
-
-// DynamicEMA is a time-decayed EMA with a dynamic smoothing factor: the
-// weight of each new sample depends on how much wall time passed since the
-// previous one (alpha = 1 - exp(-dt/window)), so the average converges at a
-// rate set by the half-life-style window rather than by sample count. A
-// burst of samples in one instant barely moves it; a sample after a long
-// gap nearly replaces it. This is the estimator the admission controller
-// and governor read, so irregular traffic cannot starve or flood the
-// signal.
-type DynamicEMA struct {
-	mu     sync.Mutex
-	window time.Duration
-	v      float64
-	n      int64
-	last   time.Time
-}
-
-// NewDynamicEMA returns a dynamic-window EMA with the given time constant.
-func NewDynamicEMA(window time.Duration) *DynamicEMA {
-	if window <= 0 {
-		panic("metrics: DynamicEMA window must be positive")
-	}
-	return &DynamicEMA{window: window}
-}
-
-// Observe folds in a sample stamped now.
-func (e *DynamicEMA) Observe(x float64) { e.ObserveAt(time.Now(), x) }
-
-// ObserveAt folds in a sample with an explicit timestamp, for deterministic
-// tests and replay. Out-of-order timestamps are treated as dt=0.
-func (e *DynamicEMA) ObserveAt(t time.Time, x float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.n == 0 {
-		e.v = x
-		e.last = t
-		e.n++
-		return
-	}
-	dt := t.Sub(e.last)
-	if dt < 0 {
-		dt = 0
-	}
-	alpha := 1 - math.Exp(-float64(dt)/float64(e.window))
-	e.v = alpha*x + (1-alpha)*e.v
-	if t.After(e.last) {
-		e.last = t
-	}
-	e.n++
-}
-
-// Value returns the current average (0 before any observation).
-func (e *DynamicEMA) Value() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.v
-}
-
-// Count returns the number of observations folded in.
-func (e *DynamicEMA) Count() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
-
-// SMA is a simple moving average over the last capacity samples (ring
-// buffer). Before the window fills it averages what it has.
-type SMA struct {
-	mu   sync.Mutex
-	buf  []float64
-	next int
-	n    int64
-	sum  float64
-}
-
-// NewSMA returns an SMA over a window of capacity samples.
-func NewSMA(capacity int) *SMA {
-	if capacity < 1 {
-		panic("metrics: SMA capacity must be >= 1")
-	}
-	return &SMA{buf: make([]float64, capacity)}
-}
-
-// Observe pushes one sample, evicting the oldest once the window is full.
-func (s *SMA) Observe(x float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n >= int64(len(s.buf)) {
-		s.sum -= s.buf[s.next]
-	}
-	s.buf[s.next] = x
-	s.sum += x
-	s.next = (s.next + 1) % len(s.buf)
-	s.n++
-}
-
-// Value returns the window average (0 before any observation).
-func (s *SMA) Value() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return 0
-	}
-	w := s.n
-	if w > int64(len(s.buf)) {
-		w = int64(len(s.buf))
-	}
-	return s.sum / float64(w)
-}
-
-// Count returns the number of observations pushed (lifetime, not window).
-func (s *SMA) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }
 
 // Meter measures an event rate (events/second) over a sliding pair of

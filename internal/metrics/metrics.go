@@ -1,13 +1,12 @@
 // Package metrics is a small, stdlib-only instrumentation layer: counters,
-// gauges, fixed-bucket histograms, and windowed estimators (EMA / SMA /
-// rate meters), collected in a Registry that can render itself in the
-// Prometheus text exposition format (version 0.0.4).
+// gauges, fixed-bucket histograms, a fixed-alpha EMA and a rate meter,
+// collected in a Registry that can render itself in the Prometheus text
+// exposition format (version 0.0.4).
 //
 // The package exists so that the solve service, the admission controller,
 // and the HTTP plane all read and publish the *same* signals: the admission
-// estimate, the governor's saturation inputs, and the /v1/metrics scrape are
-// different views of one set of instruments rather than three private
-// copies.
+// estimate and the /v1/metrics scrape are different views of one set of
+// instruments rather than private copies.
 package metrics
 
 import (

@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -13,29 +12,16 @@ import (
 // outlier without going stale under shifting problem sizes.
 const emaAlpha = 0.2
 
-// latencyWindow is the time constant of the per-backend dynamic-window EMA:
-// a burst of samples in one instant barely moves it, a sample after a long
-// gap nearly replaces it — the right shape for the governor, which reads it
-// under irregular traffic.
-const latencyWindow = 30 * time.Second
-
-// smaWindow is the sample count of the per-backend simple moving average.
-const smaWindow = 32
-
 // durationBuckets are the latency histogram bounds in seconds: 1 ms to
 // ~65 s, doubling — wide enough to hold both microsecond behavioral solves
 // and multi-second large-grid shards in one family.
 var durationBuckets = metrics.ExponentialBuckets(0.001, 2, 17)
 
 // backendWindow is one backend's latency view: the fixed-alpha EMA the
-// admission queue multiplies by queue depth (PR 6's estimator, now on the
-// shared metrics types), a time-decayed window EMA and an SMA for smoother
-// operator-facing readings, and a histogram for p50/p99.
+// admission queue multiplies by queue depth, and a histogram for p50/p99.
 type backendWindow struct {
-	ema  *metrics.EMA        // milliseconds; admission estimate
-	win  *metrics.DynamicEMA // milliseconds; governor/operator reading
-	sma  *metrics.SMA        // milliseconds
-	hist *metrics.Histogram  // seconds
+	ema  *metrics.EMA       // milliseconds; admission estimate
+	hist *metrics.Histogram // seconds
 }
 
 // backendWindows tracks latency per backend and op (solve/update), creating
@@ -64,20 +50,13 @@ func (b *backendWindows) window(solver string) *backendWindow {
 	if !ok {
 		w = &backendWindow{
 			ema: metrics.NewEMA(emaAlpha),
-			win: metrics.NewDynamicEMA(latencyWindow),
-			sma: metrics.NewSMA(smaWindow),
 			hist: b.reg.Histogram("analogflow_request_duration_seconds",
 				"Wall time of completed solve/update requests by backend.",
 				metrics.Labels{"backend": solver}, durationBuckets),
 		}
-		ema := w.ema
 		b.reg.GaugeFunc("analogflow_backend_latency_ema_milliseconds",
 			"Fixed-alpha latency EMA per backend (the admission estimator).",
-			metrics.Labels{"backend": solver}, ema.Value)
-		win := w.win
-		b.reg.GaugeFunc("analogflow_backend_latency_window_milliseconds",
-			"Dynamic-window latency EMA per backend.",
-			metrics.Labels{"backend": solver}, win.Value)
+			metrics.Labels{"backend": solver}, w.ema.Value)
 		b.m[solver] = w
 	}
 	return w
@@ -96,8 +75,6 @@ func (b *backendWindows) observeOp(solver, op string, d time.Duration) {
 	w := b.window(solver)
 	ms := float64(d) / float64(time.Millisecond)
 	w.ema.Observe(ms)
-	w.win.Observe(ms)
-	w.sma.Observe(ms)
 	w.hist.Observe(d.Seconds())
 
 	key := [2]string{solver, op}
@@ -125,43 +102,11 @@ func (b *backendWindows) estimate(solver string) time.Duration {
 	return time.Duration(w.ema.Value() * float64(time.Millisecond))
 }
 
-// maxEstimate returns the largest per-backend admission estimate — the
-// conservative latency the governor multiplies by queue depth.
-func (b *backendWindows) maxEstimate() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var max float64
-	for _, w := range b.m {
-		if v := w.ema.Value(); v > max {
-			max = v
-		}
-	}
-	return time.Duration(max * float64(time.Millisecond))
-}
-
-// snapshot returns the fixed-alpha EMAs in milliseconds (the legacy
-// Stats.BackendEMAms shape).
-func (b *backendWindows) snapshot() map[string]float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.m) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(b.m))
-	for k, w := range b.m {
-		out[k] = w.ema.Value()
-	}
-	return out
-}
-
-// BackendWindow is the full per-backend latency snapshot Stats exposes.
+// BackendWindow is the per-backend latency snapshot Stats exposes.
 type BackendWindow struct {
-	// EMAms is the fixed-alpha EMA (the admission estimator), WindowEMAms
-	// the dynamic-window EMA, SMAms the simple moving average over the last
-	// 32 requests — all in milliseconds of wall time.
-	EMAms       float64 `json:"ema_ms"`
-	WindowEMAms float64 `json:"window_ema_ms"`
-	SMAms       float64 `json:"sma_ms"`
+	// EMAms is the fixed-alpha EMA (the admission estimator), in
+	// milliseconds of wall time.
+	EMAms float64 `json:"ema_ms"`
 	// P50ms / P99ms are histogram-estimated latency quantiles.
 	P50ms float64 `json:"p50_ms"`
 	P99ms float64 `json:"p99_ms"`
@@ -169,7 +114,7 @@ type BackendWindow struct {
 	Observations int64 `json:"observations"`
 }
 
-// windows returns the full per-backend snapshot.
+// windows returns the per-backend snapshot.
 func (b *backendWindows) windows() map[string]BackendWindow {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -180,26 +125,12 @@ func (b *backendWindows) windows() map[string]BackendWindow {
 	for k, w := range b.m {
 		out[k] = BackendWindow{
 			EMAms:        w.ema.Value(),
-			WindowEMAms:  w.win.Value(),
-			SMAms:        w.sma.Value(),
 			P50ms:        w.hist.Quantile(0.5) * 1000,
 			P99ms:        w.hist.Quantile(0.99) * 1000,
 			Observations: w.ema.Count(),
 		}
 	}
 	return out
-}
-
-// backends returns the observed backend names, sorted (for stable output).
-func (b *backendWindows) backends() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.m))
-	for k := range b.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ratio is hits/(hits+misses), or 0 when nothing has been counted.

@@ -45,11 +45,6 @@ type Config struct {
 	// the estimated queue wait (depth × the backend's recent-latency EMA)
 	// overruns the deadline.
 	MaxQueue int
-	// Governor configures the adaptive capacity governor: a background loop
-	// that tunes the effective worker-slot count and the effective
-	// Budget.MaxVertices from observed saturation.  The zero value leaves
-	// the governor disabled (fixed Workers, fixed budget).
-	Governor GovernorConfig
 }
 
 // Service is the concurrent batch engine on top of the registry: it fans a
@@ -75,9 +70,8 @@ type Service struct {
 	// (see admitter).  Update traffic rides the priority lane, so warm
 	// session chains are never shed behind queued cold batch solves.
 	adm *admitter
-	// ema tracks recent solve latency per backend — the admission queue's
-	// wait estimator, plus the windowed views /v1/stats and the governor
-	// read.  The name survives from the PR 6 latencyEMA it generalizes.
+	// ema tracks recent solve latency per backend: the admission queue's
+	// wait estimator, plus the p50/p99 histogram /v1/stats reads.
 	ema *backendWindows
 
 	// mreg is the instrument registry every service counter lives in; the
@@ -85,13 +79,6 @@ type Service struct {
 	// requests per second.
 	mreg  *metrics.Registry
 	meter *metrics.Meter
-
-	// gov is the adaptive governor state (nil-safe zero value when
-	// disabled); effMaxVertices is the governor-adjusted substrate budget
-	// consulted by effectiveBudget for problems that carry no budget of
-	// their own.
-	gov            governor
-	effMaxVertices atomic.Int64
 
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
@@ -170,7 +157,6 @@ func NewService(cfg Config) *Service {
 		oracles:   newOracleCache(cfg.MaxCachedOracles),
 	}
 	s.registerInstruments()
-	s.startGovernor(cfg.Governor)
 	return s
 }
 
@@ -202,8 +188,8 @@ func (s *Service) registerInstruments() {
 
 	m.GaugeFunc("analogflow_in_flight_solves", "Solves currently executing.", nil,
 		func() float64 { return float64(s.inFlight.Load()) })
-	m.GaugeFunc("analogflow_workers_effective", "Current worker-slot capacity (governor-adjusted).", nil,
-		func() float64 { return float64(s.adm.capacityNow()) })
+	m.GaugeFunc("analogflow_workers_effective", "Worker-slot capacity (the configured worker count).", nil,
+		func() float64 { return float64(s.workers) })
 	m.GaugeFunc("analogflow_workers_busy", "Worker slots currently held.", nil,
 		func() float64 { return float64(s.adm.busy()) })
 	for lane, name := range map[int]string{laneUrgent: "urgent", lanePriority: "priority", laneNormal: "normal"} {
@@ -293,19 +279,15 @@ type Stats struct {
 	// boundary and converted into ErrSolverPanic failures (the poisoned
 	// warm state was dropped; the process kept serving).
 	SolverPanics int64 `json:"solver_panics"`
-	// BackendEMAms is the recent-solve-latency EMA per backend, in
-	// milliseconds — the admission queue's deadline estimator.
-	BackendEMAms map[string]float64 `json:"backend_ema_ms,omitempty"`
-	// BackendWindows is the full windowed latency view per backend: fixed
-	// EMA, dynamic-window EMA, SMA, and histogram quantiles.
+	// BackendWindows is the latency view per backend: the fixed-alpha EMA
+	// (the admission queue's deadline estimator) and histogram quantiles.
 	BackendWindows map[string]BackendWindow `json:"backend_windows,omitempty"`
-	// EffectiveWorkers is the current worker-slot capacity (equal to the
-	// configured Workers unless the governor has adjusted it); BusyWorkers
-	// the slots currently held; LaneDepths the admission waiters per lane.
-	EffectiveWorkers int              `json:"effective_workers"`
-	BusyWorkers      int              `json:"busy_workers"`
-	LaneDepths       LaneDepths       `json:"lane_depths"`
-	Governor         GovernorSnapshot `json:"governor"`
+	// EffectiveWorkers is the worker-slot capacity (the configured
+	// Workers); BusyWorkers the slots currently held; LaneDepths the
+	// admission waiters per lane.
+	EffectiveWorkers int        `json:"effective_workers"`
+	BusyWorkers      int        `json:"busy_workers"`
+	LaneDepths       LaneDepths `json:"lane_depths"`
 	// ThroughputRPS is completed requests per second over a 10s meter.
 	ThroughputRPS float64 `json:"throughput_rps"`
 }
@@ -353,16 +335,14 @@ func (s *Service) Stats() Stats {
 		ShedRequests:          s.shedRequests.Value(),
 		QueueDepth:            int64(s.adm.queueDepth()),
 		SolverPanics:          s.solverPanics.Value(),
-		BackendEMAms:          s.ema.snapshot(),
 		BackendWindows:        s.ema.windows(),
-		EffectiveWorkers:      s.adm.capacityNow(),
+		EffectiveWorkers:      s.workers,
 		BusyWorkers:           s.adm.busy(),
 		LaneDepths: LaneDepths{
 			Urgent:   depths[laneUrgent],
 			Priority: depths[lanePriority],
 			Normal:   depths[laneNormal],
 		},
-		Governor:      s.gov.snapshot(s),
 		ThroughputRPS: s.meter.Rate(),
 	}
 }
@@ -510,18 +490,12 @@ func (s *Service) solve(ctx context.Context, req Request) (*Report, error) {
 }
 
 // effectiveBudget resolves the budget that applies to p: its own when set,
-// the service default — with the governor's MaxVertices adjustment, when
-// one is active — otherwise.  A problem-carried budget is a caller contract
-// and is never governor-adjusted.
+// the service default otherwise.
 func (s *Service) effectiveBudget(p *Problem) Budget {
 	if b := p.Budget(); !b.IsZero() {
 		return b
 	}
-	b := s.budget
-	if eff := s.effMaxVertices.Load(); eff > 0 && b.MaxVertices > 0 {
-		b.MaxVertices = int(eff)
-	}
-	return b
+	return s.budget
 }
 
 // planAndRoute is the planner gate in front of every service solve: under a
@@ -691,9 +665,9 @@ func (s *Service) dropInstance(key string, inst Instance) {
 // Release drops the warm state the service holds for (p, solver): the flat
 // warm instance cached under the problem's fingerprint and, when a budget
 // applies, the sharded region oracle cached for the chain.  It exists for
-// session eviction — an expired session must not pin warm engines against
-// the cache bounds forever.  Unknown solvers and uncached fingerprints are
-// no-ops.
+// session deletion and eviction — a closed or expired session must not pin
+// warm engines against the cache bounds forever.  Unknown solvers and
+// uncached fingerprints are no-ops.
 func (s *Service) Release(p *Problem, solver string) {
 	if p == nil {
 		return
@@ -811,7 +785,7 @@ func (s *Service) SolveBatchDrain(ctx context.Context, reqs []Request, onResult 
 func (s *Service) solveBatch(ctx context.Context, reqs []Request, onResult func(BatchResult), stop func() bool) []BatchResult {
 	results := make([]BatchResult, len(reqs))
 	var emitMu sync.Mutex
-	_ = parallel.ForEachLimit(len(reqs), s.fanout(), func(i int) error {
+	_ = parallel.ForEachLimit(len(reqs), s.workers, func(i int) error {
 		var res BatchResult
 		res.Index = i
 		if stop != nil && stop() {
