@@ -5,7 +5,9 @@ import "fmt"
 // PruneResult is the outcome of PruneToSTCore: the reduced graph plus the
 // mappings needed to translate solutions back to the original instance.
 type PruneResult struct {
-	// Graph is the pruned graph.
+	// Graph is the pruned graph.  When PruneToSTCore removes nothing it is
+	// the input graph itself (with identity maps), so callers must treat it
+	// as read-only.
 	Graph *Graph
 	// EdgeMap[i] is the original edge index of pruned edge i.
 	EdgeMap []int
@@ -27,6 +29,10 @@ type PruneResult struct {
 // needs fewer crossbar cells (Section 3), and the removed structures are
 // precisely the ones whose conservation widgets add no information while
 // still loading the circuit.
+//
+// When nothing can be removed — every vertex lies on an s-t path and every
+// edge is kept — the result's Graph is g itself with identity maps instead
+// of a copy.  Segmentation grids are the common case.
 func PruneToSTCore(g *Graph) *PruneResult {
 	return pruneToSTCore(g, nil)
 }
@@ -116,7 +122,7 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 	keepVertex[g.Source()] = true
 	keepVertex[g.Sink()] = true
 
-	res := &PruneResult{}
+	res := &PruneResult{VertexMap: make([]int, 0, n)}
 	newIndex := growInts(sc.newIndex, n) // fully overwritten by the next loop
 	sc.newIndex = newIndex
 	for v := 0; v < n; v++ {
@@ -130,7 +136,6 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 			res.RemovedVertices++
 		}
 	}
-	pruned := MustNew(len(res.VertexMap), newIndex[g.Source()], newIndex[g.Sink()])
 	// Prepass: count surviving edges and their per-vertex degrees so the
 	// rebuilt graph is allocated exactly once instead of growing edge by edge.
 	// A parked edge whose endpoints are both alive survives as a structural
@@ -152,6 +157,16 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 			kept++
 		}
 	}
+	if caps == nil && res.RemovedVertices == 0 && kept == g.NumEdges() {
+		// g is its own s-t core; VertexMap is already the identity.
+		res.Graph = g
+		res.EdgeMap = make([]int, kept)
+		for i := range res.EdgeMap {
+			res.EdgeMap[i] = i
+		}
+		return res
+	}
+	pruned := MustNew(len(res.VertexMap), newIndex[g.Source()], newIndex[g.Sink()])
 	pruned.reserve(kept, outDeg, inDeg)
 	res.EdgeMap = make([]int, 0, kept)
 	for i, ne := 0, g.NumEdges(); i < ne; i++ {

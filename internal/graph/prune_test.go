@@ -141,3 +141,62 @@ func TestPruneInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPruneReturnsInputWhenNothingToRemove pins the copy-free prune: when
+// every vertex and edge survives — a parked slot with live endpoints
+// included — the result is the input graph itself with identity maps, and
+// anything removable still produces a copy.
+func TestPruneReturnsInputWhenNothingToRemove(t *testing.T) {
+	parked := diamond(t)
+	parked.MustAddEdge(1, 2, 4) // keeps vertex 2 alive once 0->2 parks
+	if _, err := parked.ApplyStructuralUpdate(StructuralUpdate{RemoveEdges: []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{
+		"diamond":     diamond(t),
+		"grid":        MustSegmentationGrid(16, 12, true, 3),
+		"parked slot": parked,
+	} {
+		pr := PruneToSTCore(g)
+		if pr.Graph != g || pr.RemovedVertices != 0 || pr.RemovedEdges != 0 {
+			t.Errorf("%s: want the input graph back unpruned, got %v (%+v)", name, pr.Graph, pr)
+			continue
+		}
+		for i, orig := range pr.EdgeMap {
+			if orig != i {
+				t.Fatalf("%s: EdgeMap[%d] = %d, want the identity", name, i, orig)
+			}
+		}
+		for v, orig := range pr.VertexMap {
+			if orig != v {
+				t.Fatalf("%s: VertexMap[%d] = %d, want the identity", name, v, orig)
+			}
+		}
+		if len(pr.EdgeMap) != g.NumEdges() || len(pr.VertexMap) != g.NumVertices() {
+			t.Fatalf("%s: maps have %d edges and %d vertices", name, len(pr.EdgeMap), len(pr.VertexMap))
+		}
+	}
+
+	deadEnd := MustNew(5, 0, 3)
+	for _, e := range diamond(t).Edges() {
+		deadEnd.MustAddEdge(e.From, e.To, e.Capacity)
+	}
+	deadEnd.MustAddEdge(1, 4, 2)
+	intoSource := diamond(t)
+	intoSource.MustAddEdge(1, 0, 2)
+	zeroCap := diamond(t)
+	zeroCap.MustAddEdge(1, 2, 0)
+	for name, g := range map[string]*Graph{
+		"dead-end vertex":    deadEnd,
+		"edge into source":   intoSource,
+		"zero-capacity edge": zeroCap,
+	} {
+		pr := PruneToSTCore(g)
+		if pr.Graph == g {
+			t.Errorf("%s: the prune must copy when it removes something", name)
+		}
+		if pr.RemovedVertices+pr.RemovedEdges == 0 {
+			t.Errorf("%s: nothing was removed: %+v", name, pr)
+		}
+	}
+}

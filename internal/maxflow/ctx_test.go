@@ -10,8 +10,9 @@ import (
 )
 
 // TestContextVariantsAbortWhenCancelled pins that every algorithm's Context
-// variant returns the context's error instead of a flow once the context is
-// cancelled — the checks live inside the augmenting-path / discharge loops,
+// variant — and Network.Solve, the path every service and session solve
+// takes — returns the context's error instead of a flow once the context is
+// cancelled.  The checks live inside the augmenting-path / discharge loops,
 // guarded by a cheap upfront check so even tiny instances observe it.
 func TestContextVariantsAbortWhenCancelled(t *testing.T) {
 	g := rmat.MustGenerate(rmat.SparseParams(96, 4))
@@ -20,6 +21,13 @@ func TestContextVariantsAbortWhenCancelled(t *testing.T) {
 	for _, alg := range []Algorithm{PushRelabel, Dinic, EdmondsKarp} {
 		if _, err := SolveContext(ctx, g, alg); !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: want context.Canceled, got %v", alg, err)
+		}
+		net, err := NewNetwork(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Solve(ctx, alg); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: Network.Solve: want context.Canceled, got %v", alg, err)
 		}
 	}
 	if _, err := OptimalValueContext(ctx, g); !errors.Is(err, context.Canceled) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"analogflow/internal/graph"
 )
@@ -74,6 +75,81 @@ func (n *Network) Solve(ctx context.Context, alg Algorithm) (*graph.Flow, error)
 		return nil, err
 	}
 	return n.r.flow(), nil
+}
+
+// ErrNotCertified is returned by Certify when the residual state does not
+// prove the claimed value optimal; the wrapped message names the failed
+// check.
+var ErrNotCertified = errors.New("maxflow: flow not certified optimal")
+
+// Certify checks, in O(V+E) and without a second max-flow solve, that the
+// network's residual state proves value to be the maximum flow within tol.
+// value is the value of the flow the state encodes (the Value of the flow
+// the last Solve returned).  Three checks must pass:
+//
+//   - every arc's residual capacity is non-negative, so each edge's flow
+//     lies within [0, capacity];
+//   - every vertex other than the terminals conserves flow within tol;
+//   - a BFS from the source over arcs with residual capacity above the
+//     kernels' epsilon does not reach the sink, and the capacity of the
+//     edges leaving the reached set equals value within tol.
+//
+// The first two make the encoded flow feasible, so value is at most the
+// maximum; by weak duality the cut's capacity is at least the maximum.  A
+// passing certificate therefore pins the maximum to value, up to these
+// tolerances.  A failure wraps ErrNotCertified.
+func (n *Network) Certify(value, tol float64) error {
+	r := n.r
+	sc := getCertScratch(r.n)
+	defer putCertScratch(sc)
+	balance := sc.balance
+	for v := range balance {
+		balance[v] = 0
+	}
+	for i := 0; i < len(r.arcs)/2; i++ {
+		fwd, rev := r.arcs[2*i].cap, r.arcs[2*i+1].cap
+		if fwd < 0 || rev < 0 {
+			return fmt.Errorf("%w: edge %d has negative residual capacity (%g forward, %g reverse)", ErrNotCertified, i, fwd, rev)
+		}
+		balance[r.arcs[2*i].to] += rev
+		balance[r.arcs[2*i+1].to] -= rev
+	}
+	for v, b := range balance {
+		if v != r.s && v != r.t && math.Abs(b) > tol {
+			return fmt.Errorf("%w: vertex %d violates conservation by %g", ErrNotCertified, v, b)
+		}
+	}
+	eps := epsilonFor(r.maxArcCapacity())
+	seen := sc.seen
+	for v := range seen {
+		seen[v] = false
+	}
+	seen[r.s] = true
+	queue := append(sc.queue[:0], int32(r.s))
+	for qh := 0; qh < len(queue); qh++ {
+		v := int(queue[qh])
+		for p := r.off[v]; p < r.off[v+1]; p++ {
+			a := r.adj[p]
+			if to := r.arcs[a].to; !seen[to] && r.arcs[a].cap > eps {
+				seen[to] = true
+				queue = append(queue, int32(to))
+			}
+		}
+	}
+	sc.queue = queue[:0]
+	if seen[r.t] {
+		return fmt.Errorf("%w: the sink is reachable in the residual network", ErrNotCertified)
+	}
+	var cut float64
+	for i := 0; i < n.g.NumEdges(); i++ {
+		if e := n.g.Edge(i); seen[e.From] && !seen[e.To] {
+			cut += e.Capacity
+		}
+	}
+	if math.Abs(cut-value) > tol {
+		return fmt.Errorf("%w: value %g does not match the residual cut capacity %g", ErrNotCertified, value, cut)
+	}
+	return nil
 }
 
 // UpdateTo adjusts the residual state so that it reflects g2's capacities.

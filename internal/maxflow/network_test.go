@@ -2,8 +2,10 @@ package maxflow
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"analogflow/internal/graph"
@@ -146,5 +148,86 @@ func TestNetworkUpdateToRejectsStructuralChange(t *testing.T) {
 	}
 	if err := net.UpdateTo(nil); err == nil {
 		t.Fatal("UpdateTo accepted nil")
+	}
+}
+
+// TestCertifyAcceptsSolvedNetworks pins that every algorithm's solved
+// residual state certifies its own value, on an integer R-MAT instance and a
+// real-capacity grid.
+func TestCertifyAcceptsSolvedNetworks(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		rmat.MustGenerate(rmat.SparseParams(96, 5)),
+		graph.MustSegmentationGrid(24, 24, true, 2),
+	} {
+		for _, alg := range allAlgorithms {
+			net, err := NewNetwork(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := net.Solve(context.Background(), alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := net.Certify(f.Value, 1e-9*math.Max(1, f.Value)); err != nil {
+				t.Errorf("%v on %v: %v", alg, g, err)
+			}
+		}
+	}
+}
+
+// TestCertifyRejectsBadStates pins the three checks of the certificate, each
+// on a state that breaks only that check, plus a value that does not match
+// the cut.
+func TestCertifyRejectsBadStates(t *testing.T) {
+	g := graph.PaperFigure5()
+	solved := func(t *testing.T) (*Network, float64) {
+		t.Helper()
+		net, err := NewNetwork(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := net.Solve(context.Background(), Dinic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, f.Value
+	}
+	cases := []struct {
+		name  string
+		setup func(t *testing.T) (*Network, float64)
+		want  string
+	}{
+		{"sink reachable", func(t *testing.T) (*Network, float64) {
+			net, err := NewNetwork(g) // zero flow: the sink is one path away
+			if err != nil {
+				t.Fatal(err)
+			}
+			return net, 0
+		}, "sink is reachable"},
+		{"conservation broken", func(t *testing.T) (*Network, float64) {
+			net, v := solved(t)
+			// Edge 1 (n1 -> n2) carries flow; drop one unit of it without
+			// touching its neighbours, leaving n1 and n2 unbalanced.
+			net.r.push(3, 1)
+			return net, v
+		}, "conservation"},
+		{"arc bound broken", func(t *testing.T) (*Network, float64) {
+			net, v := solved(t)
+			net.r.arcs[0].cap, net.r.arcs[1].cap = -1, net.r.arcs[0].cap+net.r.arcs[1].cap+1
+			return net, v
+		}, "negative residual"},
+		{"value off the cut", func(t *testing.T) (*Network, float64) {
+			net, v := solved(t)
+			return net, v + 1e-6
+		}, "cut capacity"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			net, v := c.setup(t)
+			err := net.Certify(v, 1e-9)
+			if !errors.Is(err, ErrNotCertified) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Certify = %v, want ErrNotCertified naming %q", err, c.want)
+			}
+		})
 	}
 }

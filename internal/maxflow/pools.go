@@ -91,6 +91,32 @@ func putEKScratch(sc *ekScratch) {
 	ekScratchPool.Put(sc)
 }
 
+// certScratch is the pooled per-call state of Network.Certify.
+type certScratch struct {
+	balance []float64
+	seen    []bool
+	queue   []int32
+}
+
+var certScratchPool sync.Pool
+
+func getCertScratch(n int) *certScratch {
+	sc, _ := certScratchPool.Get().(*certScratch)
+	if sc == nil {
+		sc = &certScratch{}
+	}
+	sc.balance = growSlice(sc.balance, n)
+	sc.seen = growSlice(sc.seen, n)
+	if cap(sc.queue) < n {
+		sc.queue = make([]int32, 0, n)
+	}
+	return sc
+}
+
+func putCertScratch(sc *certScratch) {
+	certScratchPool.Put(sc)
+}
+
 // intScratchPool recycles the degree/position arrays used while building a
 // residual's CSR adjacency.
 var intScratchPool sync.Pool

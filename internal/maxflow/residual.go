@@ -173,8 +173,10 @@ func (r *residual) maxArcCapacity() float64 {
 }
 
 // epsilonFor returns a tolerance used to treat tiny residual capacities as
-// zero.  Capacities in this repository are either integers or quantized
-// voltage levels, so a relative epsilon is safe.
+// zero.  Capacities are integers (R-MAT, DIMACS), quantized voltage levels,
+// or arbitrary reals (segmentation grids), so the tolerance is relative to
+// the largest one: 1e-12 of it sits far below any capacity difference an
+// instance means, and above the round-off flow arithmetic leaves on an arc.
 func epsilonFor(c float64) float64 {
 	if c == 0 {
 		return 0

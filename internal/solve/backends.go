@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -199,6 +200,14 @@ func reportFromCore(name string, res *core.Result) *Report {
 // s-t core and expands the flow back to the original edge indexing; the
 // max-flow value is preserved exactly by construction of the prune.
 //
+// Push-relabel and Edmonds-Karp reports certify their own optimum: the
+// residual network they end on holds a minimum cut, and when
+// maxflow.Network.Certify accepts it the report carries ExactValue =
+// FlowValue and RelativeError 0 without a second max-flow solve.  Only a
+// failed certificate falls back to the problem's Dinic reference, so a
+// kernel defect still shows as a non-zero relative error.  Dinic is itself
+// the reference: its value seeds the problem's exact memo.
+//
 // It is Warmable: an instance keeps the residual network of its last solve,
 // so a capacity-only update drains/extends the residual and re-augments
 // instead of re-solving from scratch.  A warm re-solve reaches exactly the
@@ -213,9 +222,9 @@ type cpuSolver struct {
 func (c *cpuSolver) Name() string     { return c.alg.String() }
 func (c *cpuSolver) Describe() string { return c.desc }
 
-// NewInstance returns a warm residual-network instance.  Its first Solve is
-// the exact computation of the one-shot path below (same residual layout,
-// same traversal order), so cached and uncached solves report identically.
+// NewInstance returns a warm residual-network instance.  The one-shot Solve
+// below runs a fresh instance too, so cached and uncached solves report
+// identically.
 func (c *cpuSolver) NewInstance(p *Problem) (Instance, error) {
 	return &cpuInstance{alg: c.alg, name: c.Name(), p: p}, nil
 }
@@ -231,12 +240,15 @@ type cpuInstance struct {
 	alg  maxflow.Algorithm
 	name string
 
-	mu      sync.Mutex
-	p       *Problem
-	net     *maxflow.Network
-	solved  bool
-	flow    *graph.Flow // core-domain flow of the last completed solve
-	elapsed time.Duration
+	mu     sync.Mutex
+	p      *Problem
+	net    *maxflow.Network
+	solved bool
+	flow   *graph.Flow // core-domain flow of the last completed solve
+	// certified records that the last solve's residual passed
+	// maxflow.Network.Certify, so its value is reported as the exact one.
+	certified bool
+	elapsed   time.Duration
 }
 
 // BoundFingerprint implements the service's post-solve rebind check.
@@ -271,12 +283,24 @@ func (i *cpuInstance) Solve(ctx context.Context) (*Report, error) {
 		}
 		i.flow, i.elapsed = f, time.Since(start)
 		i.solved = true
+		// The flow value and the residual cut's capacity may differ by
+		// round-off only.
+		tol := 1e-9 * math.Max(1, math.Abs(f.Value))
+		i.certified = i.alg != maxflow.Dinic && i.net.Certify(f.Value, tol) == nil
 	}
 	if i.alg == maxflow.Dinic {
+		// A Dinic solve of the core is bit-identical to the reference
+		// computation the memo would run, so seed it instead of solving
+		// twice.
 		i.p.seedExact(i.flow.Value)
 	}
-	rep, err := expandedFlowReport(ctx, i.p, i.name, i.flow, pr)
-	if err != nil {
+	rep := expandedFlowReport(i.p, i.name, i.flow, pr)
+	if i.certified {
+		// The certificate proves the value optimal.  It seeds no memo: the
+		// other exact algorithms may differ from Dinic in the last ulp, and
+		// the shared reference must not depend on backend order.
+		rep.ExactValue = rep.FlowValue
+	} else if err := i.p.fillExact(ctx, rep); err != nil {
 		return nil, err
 	}
 	rep.WallTime = i.elapsed
@@ -318,33 +342,17 @@ func (i *cpuInstance) Update(p *Problem) error {
 	return nil
 }
 
+// Solve runs a fresh instance: the registry and the service share one
+// report path, exact-value handling included.
 func (c *cpuSolver) Solve(ctx context.Context, p *Problem) (*Report, error) {
-	coreG, pr := p.STCore()
-	start := time.Now()
-	f, err := maxflow.SolveContext(ctx, coreG, c.alg)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	// A Dinic solve of the core is bit-identical to the reference
-	// computation the memo would run, so seed it instead of solving twice.
-	// The other exact algorithms may differ in the last ulp, and seeding
-	// from them would make the shared reference depend on backend order.
-	if c.alg == maxflow.Dinic {
-		p.seedExact(f.Value)
-	}
-	rep, err := expandedFlowReport(ctx, p, c.Name(), f, pr)
-	if err != nil {
-		return nil, err
-	}
-	rep.WallTime = elapsed
-	return rep, nil
+	return (&cpuInstance{alg: c.alg, name: c.Name(), p: p}).Solve(ctx)
 }
 
 // expandedFlowReport maps a core-domain flow back onto the original graph
-// and fills the shared reference value and prune accounting.
-func expandedFlowReport(ctx context.Context, p *Problem, name string, f *graph.Flow, pr *graph.PruneResult) (*Report, error) {
-	if pr != nil {
+// (a no-op when the prune kept the problem's graph itself) and fills the
+// prune accounting.
+func expandedFlowReport(p *Problem, name string, f *graph.Flow, pr *graph.PruneResult) *Report {
+	if pr != nil && pr.Graph != p.Graph() {
 		f = pr.ExpandFlow(p.Graph(), f)
 	}
 	rep := flowReport(name, f)
@@ -352,10 +360,7 @@ func expandedFlowReport(ctx context.Context, p *Problem, name string, f *graph.F
 		rep.PrunedVertices = pr.RemovedVertices
 		rep.PrunedEdges = pr.RemovedEdges
 	}
-	if err := p.fillExact(ctx, rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return rep
 }
 
 // --- LP backend ------------------------------------------------------------
@@ -391,8 +396,8 @@ func (l *lpSolver) Solve(ctx context.Context, p *Problem) (*Report, error) {
 	f := graph.NewFlow(coreG)
 	copy(f.Edge, res.X)
 	f.RecomputeValue(coreG)
-	rep, err := expandedFlowReport(ctx, p, l.Name(), f, pr)
-	if err != nil {
+	rep := expandedFlowReport(p, l.Name(), f, pr)
+	if err := p.fillExact(ctx, rep); err != nil {
 		return nil, err
 	}
 	rep.Iterations = res.Iterations

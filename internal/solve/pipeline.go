@@ -22,9 +22,11 @@ import (
 //	decompose  — split into overlapping regions (decompose backend only)
 //
 // Each artifact is computed lazily, exactly once, under its own sync.Once,
-// and then shared: the CPU backends solve on the pruned core, the exact
-// reference value is computed on the same core, and the two analog backends
-// share one core.Prepared built from the same prune result.
+// and then shared: the CPU backends solve on the pruned core (the problem's
+// graph itself when the prune removes nothing), the exact reference value
+// that the backends without an optimality certificate read is one Dinic
+// solve of the same core, and the two analog backends share one
+// core.Prepared built from the same prune result.
 type pipeline struct {
 	pruneOnce sync.Once
 	prune     *graph.PruneResult // nil when pruning is disabled
@@ -96,8 +98,9 @@ func (p *Problem) Prepared() (*core.Prepared, error) {
 
 // ExactValue returns the exact maximum flow of the instance, computed once
 // with Dinic's algorithm on the s-t core (which has the same max-flow value
-// as the original by construction) and then shared by every backend's
-// relative-error reporting.  The pipeline memo and the core.Prepared
+// as the original by construction) and then shared by the relative-error
+// reporting of every backend that does not certify its own optimum (see
+// cpuSolver).  The pipeline memo and the core.Prepared
 // bundle's memo (which the analog finalize step reads) seed each other, so
 // the whole problem runs at most one reference solve — without the pure-CPU
 // backends ever forcing the quantize stage just to reach a memo.  A

@@ -129,7 +129,9 @@ func NewProblem(g *graph.Graph, opts ...Option) (*Problem, error) {
 //     structurally valid for the update (pruning depends on capacities only
 //     through positivity), so the prune stage is seeded with a
 //     capacity-patched copy of the base core instead of re-running the
-//     reachability passes.
+//     reachability passes.  When the base core is the base graph itself
+//     (nothing was pruned), the patched clone is already that copy and
+//     seeds the core directly.
 //
 //   - The memoised partitions are inherited unconditionally: a capacity
 //     update never changes adjacency, so BFS partitions are identical by
@@ -173,13 +175,15 @@ func (p *Problem) WithUpdate(u graph.CapacityUpdate) (*Problem, error) {
 	if !rec.PositivityChanged && p.params.PruneGraph {
 		_, pr := p.STCore()
 		if pr != nil {
-			newCaps := make([]float64, len(pr.EdgeMap))
-			for i, orig := range pr.EdgeMap {
-				newCaps[i] = g2.Edge(orig).Capacity
-			}
-			core2, err := pr.Graph.WithCapacities(newCaps)
-			if err != nil {
-				return nil, invalid("capacity update", err)
+			core2 := g2
+			if pr.Graph != p.g {
+				newCaps := make([]float64, len(pr.EdgeMap))
+				for i, orig := range pr.EdgeMap {
+					newCaps[i] = g2.Edge(orig).Capacity
+				}
+				if core2, err = pr.Graph.WithCapacities(newCaps); err != nil {
+					return nil, invalid("capacity update", err)
+				}
 			}
 			pr2 := &graph.PruneResult{
 				Graph:           core2,

@@ -105,9 +105,13 @@ type Report struct {
 	// FlowValue is the flow value the backend reported, in original
 	// capacity units.
 	FlowValue float64 `json:"flow_value"`
-	// ExactValue is the exact maximum flow of the instance (computed once
-	// per problem with Dinic's algorithm on the s-t core) and RelativeError
-	// the deviation of FlowValue from it.
+	// ExactValue is the exact maximum flow of the instance and
+	// RelativeError the deviation of FlowValue from it.  Push-relabel and
+	// Edmonds-Karp reports certify their own optimum from the residual
+	// network (maxflow.Network.Certify), so ExactValue = FlowValue and
+	// RelativeError = 0; should the certificate fail they fall back to the
+	// reference.  Every other report reads the reference: one Dinic solve
+	// of the s-t core per problem, which a dinic report seeds.
 	ExactValue    float64 `json:"exact_value"`
 	RelativeError float64 `json:"relative_error"`
 	// EdgeFlows is the per-edge flow on the original graph's edge indexing,
