@@ -15,6 +15,7 @@ import (
 	"analogflow/internal/core"
 	"analogflow/internal/graph"
 	"analogflow/internal/metrics"
+	"analogflow/internal/parallel"
 	"analogflow/internal/rmat"
 	"analogflow/internal/solve"
 )
@@ -437,9 +438,10 @@ type solveRequest struct {
 // Request-size bounds: the endpoint is public surface, so one request must
 // not be able to allocate unbounded memory before any solve starts.  The
 // body cap bounds inline/DIMACS instances; the per-problem caps bound what a
-// few-byte generator spec can expand into; and because per-problem caps
-// multiply with the batch length, an aggregate vertex/edge budget is
-// enforced across the whole request while the problems are materialised.
+// few-byte generator spec (or a DIMACS problem line) can expand into; and
+// because per-problem caps multiply with the batch length, an aggregate
+// vertex/edge budget is enforced across the whole request.  Both are checked
+// against the sizes the specs declare, before any problem is materialised.
 // Session budgets ride the same philosophy: a session pins a problem (and a
 // warm solver instance) for its whole lifetime, so both the live-session
 // count and the per-update step count are bounded alongside the per-problem
@@ -456,8 +458,11 @@ const (
 	maxTombstones    = 4 * maxSessions
 )
 
-// buildProblem converts one spec into a validated solve.Problem.
-func buildProblem(spec problemSpec, opts []solve.Option) (*solve.Problem, error) {
+// specSize returns the vertex and edge counts spec declares, read without
+// building anything, and applies the per-problem caps: the vertex cap of
+// every encoding and the R-MAT edge cap.  Inline and DIMACS edge counts are
+// bounded by the request body.
+func specSize(spec problemSpec) (vertices, edges int, err error) {
 	declared := 0
 	if spec.Edges != nil || spec.Vertices != 0 {
 		declared++
@@ -472,37 +477,78 @@ func buildProblem(spec problemSpec, opts []solve.Option) (*solve.Problem, error)
 		declared++
 	}
 	if declared != 1 {
-		return nil, fmt.Errorf("problem must carry exactly one of edges, dimacs, rmat or grid")
+		return 0, 0, fmt.Errorf("problem must carry exactly one of edges, dimacs, rmat or grid")
 	}
+	switch {
+	case spec.DIMACS != "":
+		n, m, ok := graph.DIMACSSize(spec.DIMACS)
+		if !ok {
+			// No well-formed problem line: the reader rejects the text
+			// before it allocates anything.
+			return 0, 0, nil
+		}
+		if n > maxVertices {
+			return 0, 0, fmt.Errorf("dimacs problem line declares %d vertices, exceeding the limit of %d", n, maxVertices)
+		}
+		return n, m, nil
+	case spec.RMAT != nil:
+		if spec.RMAT.Vertices > maxVertices {
+			return 0, 0, fmt.Errorf("rmat vertices %d exceeds the limit of %d", spec.RMAT.Vertices, maxVertices)
+		}
+		p := spec.RMAT.params()
+		if p.Edges > maxRMATEdges {
+			return 0, 0, fmt.Errorf("rmat spec expands to %d edges, exceeding the limit of %d", p.Edges, maxRMATEdges)
+		}
+		return p.Vertices, p.Edges, nil
+	case spec.Grid != nil:
+		w, h := spec.Grid.Width, spec.Grid.Height
+		if w < 1 || h < 1 {
+			return 0, 0, fmt.Errorf("grid dimensions %dx%d must be positive", w, h)
+		}
+		if w > maxVertices || h > maxVertices {
+			// Bounding each side first keeps w*h from overflowing.
+			return 0, 0, fmt.Errorf("grid dimensions %dx%d exceed the limit of %d vertices", w, h, maxVertices)
+		}
+		if v := 2 + w*h; v > maxVertices {
+			return 0, 0, fmt.Errorf("grid spec expands to %d vertices, exceeding the limit of %d", v, maxVertices)
+		}
+		// Every neighbour pair is linked both ways, and every pixel has one
+		// terminal link.
+		pairs := (w-1)*h + w*(h-1)
+		if spec.Grid.Eight {
+			pairs += 2 * (w - 1) * (h - 1)
+		}
+		return 2 + w*h, 2*pairs + w*h, nil
+	default:
+		if spec.Vertices > maxVertices {
+			return 0, 0, fmt.Errorf("inline graph vertices %d exceeds the limit of %d", spec.Vertices, maxVertices)
+		}
+		return spec.Vertices, len(spec.Edges), nil
+	}
+}
+
+// params returns the R-MAT preset the spec names.
+func (r *rmatSpec) params() rmat.Params {
+	if r.Sparse {
+		return rmat.SparseParams(r.Vertices, r.Seed)
+	}
+	return rmat.DenseParams(r.Vertices, r.Seed)
+}
+
+// buildProblem converts one spec that specSize accepted into a validated
+// solve.Problem.
+func buildProblem(spec problemSpec, opts []solve.Option) (*solve.Problem, error) {
 	switch {
 	case spec.DIMACS != "":
 		return solve.FromDIMACS(strings.NewReader(spec.DIMACS), opts...)
 	case spec.RMAT != nil:
-		if spec.RMAT.Vertices > maxVertices {
-			return nil, fmt.Errorf("rmat vertices %d exceeds the limit of %d", spec.RMAT.Vertices, maxVertices)
-		}
-		var p rmat.Params
-		if spec.RMAT.Sparse {
-			p = rmat.SparseParams(spec.RMAT.Vertices, spec.RMAT.Seed)
-		} else {
-			p = rmat.DenseParams(spec.RMAT.Vertices, spec.RMAT.Seed)
-		}
-		if p.Edges > maxRMATEdges {
-			return nil, fmt.Errorf("rmat spec expands to %d edges, exceeding the limit of %d", p.Edges, maxRMATEdges)
-		}
-		g, err := rmat.Generate(p)
+		g, err := rmat.Generate(spec.RMAT.params())
 		if err != nil {
 			return nil, err
 		}
 		return solve.NewProblem(g, opts...)
 	case spec.Grid != nil:
 		gs := spec.Grid
-		if gs.Width < 1 || gs.Height < 1 {
-			return nil, fmt.Errorf("grid dimensions %dx%d must be positive", gs.Width, gs.Height)
-		}
-		if v := 2 + gs.Width*gs.Height; v > maxVertices {
-			return nil, fmt.Errorf("grid spec expands to %d vertices, exceeding the limit of %d", v, maxVertices)
-		}
 		g, err := graph.SegmentationGrid(gs.Width, gs.Height, gs.Eight, gs.Seed)
 		if err != nil {
 			return nil, err
@@ -511,9 +557,6 @@ func buildProblem(spec problemSpec, opts []solve.Option) (*solve.Problem, error)
 	default:
 		if spec.Source == nil || spec.Sink == nil {
 			return nil, fmt.Errorf("inline graph needs source and sink")
-		}
-		if spec.Vertices > maxVertices {
-			return nil, fmt.Errorf("inline graph vertices %d exceeds the limit of %d", spec.Vertices, maxVertices)
 		}
 		g, err := graph.New(spec.Vertices, *spec.Source, *spec.Sink)
 		if err != nil {
@@ -529,6 +572,53 @@ func buildProblem(spec problemSpec, opts []solve.Option) (*solve.Problem, error)
 		}
 		return solve.NewProblem(g, opts...)
 	}
+}
+
+// buildProblems checks every spec's declared size against the per-problem
+// caps and the aggregate budget before it builds any problem, then builds
+// them on up to the service's worker bound of goroutines (inline for one
+// problem or one worker).  A failure names the lowest failing index, as a
+// serial build would, and no build starts past an index that already failed.
+func (s *server) buildProblems(specs []problemSpec, opts []solve.Option) ([]*solve.Problem, error) {
+	totalVertices, totalEdges := 0, 0
+	for i, spec := range specs {
+		// The aggregate budget is checked before each problem's size is
+		// added, so the worst overshoot is one problem's own (capped) size.
+		if totalVertices > maxBatchVertices || totalEdges > maxBatchEdges {
+			return nil, fmt.Errorf("batch exceeds the aggregate size budget (%d vertices / %d edges) at problem %d",
+				maxBatchVertices, maxBatchEdges, i)
+		}
+		v, e, err := specSize(spec)
+		if err != nil {
+			return nil, fmt.Errorf("problem %d: %w", i, err)
+		}
+		totalVertices += v
+		totalEdges += e
+	}
+	probs := make([]*solve.Problem, len(specs))
+	var failed atomic.Int64 // lowest index that failed to build so far
+	failed.Store(int64(len(specs)))
+	err := parallel.ForEachLimit(len(specs), s.svc.Workers(), func(i int) error {
+		if int64(i) > failed.Load() {
+			return nil
+		}
+		p, err := buildProblem(specs[i], opts)
+		if err != nil {
+			for {
+				cur := failed.Load()
+				if int64(i) >= cur || failed.CompareAndSwap(cur, int64(i)) {
+					break
+				}
+			}
+			return fmt.Errorf("problem %d: %w", i, err)
+		}
+		probs[i] = p
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return probs, nil
 }
 
 // solveOptions translates the request's parameter and budget blocks,
@@ -632,23 +722,13 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: params: %v", err)
 		return
 	}
-	reqs := make([]solve.Request, len(req.Problems))
-	totalVertices, totalEdges := 0, 0
-	for i, spec := range req.Problems {
-		// The aggregate budget is checked before each build, so the worst
-		// overshoot is one problem's own (already capped) size.
-		if totalVertices > maxBatchVertices || totalEdges > maxBatchEdges {
-			s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: batch exceeds the aggregate size budget (%d vertices / %d edges) at problem %d",
-				maxBatchVertices, maxBatchEdges, i)
-			return
-		}
-		prob, err := buildProblem(spec, opts)
-		if err != nil {
-			s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: problem %d: %v", i, err)
-			return
-		}
-		totalVertices += prob.Graph().NumVertices()
-		totalEdges += prob.Graph().NumEdges()
+	probs, err := s.buildProblems(req.Problems, opts)
+	if err != nil {
+		s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: %v", err)
+		return
+	}
+	reqs := make([]solve.Request, len(probs))
+	for i, prob := range probs {
 		reqs[i] = solve.Request{Solver: req.Solver, Problem: prob, Deadline: s.deadlineFor(req.TimeoutMS)}
 	}
 
@@ -863,6 +943,10 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	opts, err := solveOptions(req.Params, req.Budget)
 	if err != nil {
 		s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: params: %v", err)
+		return
+	}
+	if _, _, err := specSize(req.Problem); err != nil {
+		s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: problem: %v", err)
 		return
 	}
 	prob, err := buildProblem(req.Problem, opts)

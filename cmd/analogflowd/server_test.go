@@ -777,6 +777,8 @@ func TestSessionBadRequests(t *testing.T) {
 		{"missing solver", fmt.Sprintf(`{"problem":%s}`, figure5Inline), http.StatusBadRequest},
 		{"unknown solver", fmt.Sprintf(`{"solver":"no-such","problem":%s}`, figure5Inline), http.StatusBadRequest},
 		{"oversized problem", `{"solver":"dinic","problem":{"rmat":{"vertices":1000000000}}}`, http.StatusBadRequest},
+		{"oversized dimacs", `{"solver":"dinic","problem":{"dimacs":"p max 20000000 0\nn 1 s\nn 2 t\n"}}`, http.StatusBadRequest},
+		{"infinite capacity", `{"solver":"dinic","problem":{"dimacs":"p max 3 2\nn 1 s\nn 3 t\na 1 2 inf\na 2 3 1\n"}}`, http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := create(tc.body)
@@ -871,6 +873,33 @@ func TestSolveBadRequests(t *testing.T) {
 			}
 		})
 	}
+	// Intake limits, checked before any problem is built, and non-finite
+	// capacities; each names the problem at fault in the message.
+	for _, tc := range []struct{ name, body, msg string }{
+		// A 52-byte DIMACS problem line must not allocate 20M-vertex tables.
+		{"oversized dimacs", `{"solver":"dinic","problems":[{"dimacs":"p max 20000000 0\nn 1 s\nn 2 t\n"}]}`,
+			"problem 0: dimacs problem line declares 20000000 vertices, exceeding the limit of 1048576"},
+		{"oversized dimacs on its last problem line", `{"solver":"dinic","problems":[` + figure5Inline +
+			`,{"dimacs":"p max 2 0\nn 1 s\nn 2 t\np max 20000000 0\n"}]}`, "problem 1: dimacs problem line declares 20000000"},
+		{"overflowing grid", `{"solver":"dinic","problems":[{"grid":{"width":4294967296,"height":4294967296}}]}`,
+			"problem 0: grid dimensions 4294967296x4294967296 exceed the limit"},
+		{"infinite dimacs capacity", `{"solver":"dinic","problems":[{"dimacs":"p max 4 4\nn 1 s\nn 4 t\na 1 2 inf\na 2 4 3\na 1 3 2\na 3 4 inf\n"}]}`,
+			"problem 0: solve: invalid problem: DIMACS parse failed: dimacs: arc [0 1 +Inf]: graph: non-finite edge capacity"},
+		{"nan dimacs capacity", `{"solver":"lp","problems":[{"dimacs":"p max 3 2\nn 1 s\nn 3 t\na 1 2 NaN\na 2 3 1\n"}]}`,
+			"non-finite edge capacity"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJSON(t, srv.URL+"/v1/solve", tc.body)
+			defer resp.Body.Close()
+			var body apiErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error.Message, tc.msg) {
+				t.Errorf("status %d message %q, want 400 containing %q", resp.StatusCode, body.Error.Message, tc.msg)
+			}
+		})
+	}
 	// Method checks.
 	resp, err := http.Get(srv.URL + "/v1/solve")
 	if err != nil {
@@ -879,6 +908,33 @@ func TestSolveBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/solve: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSolveBuildErrorNamesLowestIndex pins the parallel build's error
+// contract: whatever the worker count and whichever build fails first, the
+// 400 names the lowest failing problem, as a serial build does.
+func TestSolveBuildErrorNamesLowestIndex(t *testing.T) {
+	specs := []string{
+		`{"rmat":{"vertices":256,"seed":1}}`,
+		`{"rmat":{"vertices":512,"seed":2}}`,
+		`{"dimacs":"p max 3 1\nn 1 s\nn 3 t\na 1 3 -1\n"}`,
+		figure5Inline,
+		`{"vertices":3,"edges":[[0,1,1]]}`,
+		`{"rmat":{"vertices":1}}`,
+	}
+	body := `{"solver":"dinic","problems":[` + strings.Join(specs, ",") + `]}`
+	for _, workers := range []int{1, 2, 8} {
+		srv := newTestServer(t, workers)
+		for i := 0; i < 5; i++ {
+			resp := postJSON(t, srv.URL+"/v1/solve", body)
+			var out apiErrorBody
+			err := json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(out.Error.Message, "bad request: problem 2: ") {
+				t.Fatalf("workers=%d: status %d message %q (%v), want 400 naming problem 2", workers, resp.StatusCode, out.Error.Message, err)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -25,7 +26,7 @@ type Edge struct {
 	// Capacity is the non-negative edge capacity c_e.  The paper assumes
 	// nonzero integral capacities; we store float64 so that quantized and
 	// de-quantized capacities flow through the same type, but constructors
-	// validate non-negativity.
+	// validate that it is finite and non-negative.
 	Capacity float64
 }
 
@@ -54,6 +55,9 @@ var (
 	ErrNegativeCapacity = errors.New("graph: negative edge capacity")
 	ErrSelfLoop         = errors.New("graph: self loop not allowed")
 	ErrSameSourceSink   = errors.New("graph: source and sink must differ")
+	// ErrNonFiniteCapacity rejects NaN and ±Inf capacities: every max-flow
+	// kernel would return a silently wrong value on them.
+	ErrNonFiniteCapacity = errors.New("graph: non-finite edge capacity")
 )
 
 // New returns an empty graph with n vertices, source s and sink t.
@@ -110,24 +114,88 @@ func (g *Graph) Edges() []Edge {
 }
 
 // AddEdge appends a directed edge from u to v with the given capacity and
-// returns its index.  Self loops and negative capacities are rejected.
-// Parallel edges are allowed (they are common in reductions, e.g. undirected
-// graphs converted to directed ones).
+// returns its index.  Self loops and negative or non-finite capacities are
+// rejected.  Parallel edges are allowed (they are common in reductions, e.g.
+// undirected graphs converted to directed ones).
 func (g *Graph) AddEdge(u, v int, capacity float64) (int, error) {
+	if err := g.checkEdge(u, v, capacity); err != nil {
+		return -1, err
+	}
+	return g.appendEdge(Edge{From: u, To: v, Capacity: capacity}), nil
+}
+
+// checkEdge is AddEdge's validation, in the order AddEdge reports it.
+func (g *Graph) checkEdge(u, v int, capacity float64) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return -1, ErrVertexRange
+		return ErrVertexRange
 	}
 	if u == v {
-		return -1, ErrSelfLoop
+		return ErrSelfLoop
 	}
-	if capacity < 0 {
-		return -1, ErrNegativeCapacity
+	return checkCapacity(capacity)
+}
+
+// checkCapacity reports whether c is a legal edge capacity: finite
+// (ErrNonFiniteCapacity) and non-negative (ErrNegativeCapacity).
+func checkCapacity(c float64) error {
+	switch {
+	case c >= 0 && c <= math.MaxFloat64: // false for NaN
+		return nil
+	case finite(c):
+		return ErrNegativeCapacity
 	}
+	return ErrNonFiniteCapacity
+}
+
+// finite reports whether c is neither NaN nor ±Inf.
+func finite(c float64) bool { return c >= -math.MaxFloat64 && c <= math.MaxFloat64 }
+
+// appendEdge appends a validated edge and its adjacency entries.
+func (g *Graph) appendEdge(e Edge) int {
 	idx := len(g.edges)
-	g.edges = append(g.edges, Edge{From: u, To: v, Capacity: capacity})
-	g.out[u] = append(g.out[u], idx)
-	g.in[v] = append(g.in[v], idx)
-	return idx, nil
+	g.edges = append(g.edges, e)
+	g.out[e.From] = append(g.out[e.From], idx)
+	g.in[e.To] = append(g.in[e.To], idx)
+	return idx
+}
+
+// EdgeError reports the edge FromEdges rejected: its index in the input and
+// the error AddEdge would have returned for it.
+type EdgeError struct {
+	Index int
+	Err   error
+}
+
+func (e *EdgeError) Error() string { return fmt.Sprintf("graph: edge %d: %v", e.Index, e.Err) }
+
+// Unwrap exposes the AddEdge error to errors.Is / errors.As.
+func (e *EdgeError) Unwrap() error { return e.Err }
+
+// FromEdges builds the graph with n vertices, source s, sink t and the given
+// edges in order, with exact-capacity adjacency lists allocated once (the
+// layout Clone and Grid use).  It validates every edge exactly as AddEdge
+// does and reports the first rejected one as an *EdgeError; the terminals
+// are checked first, as New checks them.  On success the graph owns the
+// backing array of edges, so the caller must not modify it afterwards.
+func FromEdges(n, s, t int, edges []Edge) (*Graph, error) {
+	g, err := New(n, s, t)
+	if err != nil {
+		return nil, err
+	}
+	deg := make([]int, 2*n)
+	outDeg, inDeg := deg[:n], deg[n:]
+	for i, e := range edges {
+		if err := g.checkEdge(e.From, e.To, e.Capacity); err != nil {
+			return nil, &EdgeError{Index: i, Err: err}
+		}
+		outDeg[e.From]++
+		inDeg[e.To]++
+	}
+	g.reserve(edges[:0:len(edges)], outDeg, inDeg)
+	for _, e := range edges {
+		g.appendEdge(e)
+	}
+	return g, nil
 }
 
 // AddParkedEdge appends a parked edge from u to v: a capacity-0 edge that the
@@ -213,16 +281,18 @@ func (g *Graph) ReserveEdges(n int) {
 	}
 }
 
-// reserve preallocates the edge list and exact-capacity adjacency lists (one
-// shared backing array each, like Clone) for a graph that will receive
-// exactly the given degree profile.  Callers must add no more than outDeg[v]
-// (resp. inDeg[v]) edges at any vertex, otherwise append falls back to a
-// private reallocation and the backing array is partially wasted (never
-// corrupted, because every sub-slice is capacity-clamped).
-func (g *Graph) reserve(edges int, outDeg, inDeg []int) {
-	g.edges = make([]Edge, 0, edges)
-	outFlat := make([]int, edges)
-	inFlat := make([]int, edges)
+// reserve installs edges (empty, with capacity for every edge the graph will
+// receive) as the edge list and preallocates exact-capacity adjacency lists
+// (one shared backing array each, like Clone) for the given degree profile.
+// Callers must add no more than outDeg[v] (resp. inDeg[v]) edges at any
+// vertex, otherwise append falls back to a private reallocation and the
+// backing array is partially wasted (never corrupted, because every
+// sub-slice is capacity-clamped).
+func (g *Graph) reserve(edges []Edge, outDeg, inDeg []int) {
+	g.edges = edges
+	m := cap(edges)
+	outFlat := make([]int, m)
+	inFlat := make([]int, m)
 	pos := 0
 	for v := 0; v < g.n; v++ {
 		g.out[v] = outFlat[pos : pos : pos+outDeg[v]]
@@ -328,18 +398,21 @@ func (g *Graph) WithCapacities(caps []float64) (*Graph, error) {
 	if len(caps) != len(g.edges) {
 		return nil, fmt.Errorf("graph: capacity slice has %d entries, graph has %d edges", len(caps), len(g.edges))
 	}
+	for _, c := range caps {
+		if err := checkCapacity(c); err != nil {
+			return nil, err
+		}
+	}
 	c := g.Clone()
 	for i := range c.edges {
-		if caps[i] < 0 {
-			return nil, ErrNegativeCapacity
-		}
 		c.edges[i].Capacity = caps[i]
 	}
 	return c, nil
 }
 
 // Validate performs structural sanity checks: adjacency lists consistent with
-// the edge list, all endpoints in range, no negative capacities.
+// the edge list, all endpoints in range, no negative or non-finite
+// capacities.
 func (g *Graph) Validate() error {
 	if g.n < 2 {
 		return fmt.Errorf("graph: %d vertices", g.n)
@@ -357,8 +430,8 @@ func (g *Graph) Validate() error {
 		if e.From == e.To {
 			return fmt.Errorf("graph: edge %d is a self loop", i)
 		}
-		if e.Capacity < 0 {
-			return fmt.Errorf("graph: edge %d has negative capacity", i)
+		if err := checkCapacity(e.Capacity); err != nil {
+			return fmt.Errorf("graph: edge %d: %w", i, err)
 		}
 	}
 	seenOut := 0

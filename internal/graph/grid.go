@@ -99,7 +99,7 @@ func Grid(spec GridSpec) (*Graph, error) {
 			}
 		}
 	}
-	g.reserve(edges, outDeg, inDeg)
+	g.reserve(make([]Edge, 0, edges), outDeg, inDeg)
 
 	// Filling pass, in the documented order.
 	var addErr error
@@ -113,19 +113,23 @@ func Grid(spec GridSpec) (*Graph, error) {
 			addErr = err
 		}
 	})
+	if addErr != nil {
+		return nil, addErr
+	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			src, sink := termFn(x, y)
 			if src > 0 {
-				g.MustAddEdge(0, spec.PixelVertex(x, y), src)
+				if _, err := g.AddEdge(0, spec.PixelVertex(x, y), src); err != nil {
+					return nil, err
+				}
 			}
 			if sink > 0 {
-				g.MustAddEdge(spec.PixelVertex(x, y), 1, sink)
+				if _, err := g.AddEdge(spec.PixelVertex(x, y), 1, sink); err != nil {
+					return nil, err
+				}
 			}
 		}
-	}
-	if addErr != nil {
-		return nil, addErr
 	}
 	return g, nil
 }
@@ -247,7 +251,7 @@ func LongPath(n int) *Graph {
 		outDeg[v] = 1
 		inDeg[v+1] = 1
 	}
-	g.reserve(n-1, outDeg, inDeg)
+	g.reserve(make([]Edge, 0, n-1), outDeg, inDeg)
 	for v := 0; v+1 < n; v++ {
 		g.MustAddEdge(v, v+1, 1)
 	}

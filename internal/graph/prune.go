@@ -167,7 +167,7 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 		return res
 	}
 	pruned := MustNew(len(res.VertexMap), newIndex[g.Source()], newIndex[g.Sink()])
-	pruned.reserve(kept, outDeg, inDeg)
+	pruned.reserve(make([]Edge, 0, kept), outDeg, inDeg)
 	res.EdgeMap = make([]int, 0, kept)
 	for i, ne := 0, g.NumEdges(); i < ne; i++ {
 		e := g.Edge(i)

@@ -13,13 +13,14 @@ import "fmt"
 type CapacityUpdate struct {
 	// Edges are the indices of the mutated edges (no duplicates).
 	Edges []int
-	// Capacities[k] is the new capacity of edge Edges[k] (non-negative).
+	// Capacities[k] is the new capacity of edge Edges[k] (finite and
+	// non-negative).
 	Capacities []float64
 }
 
 // Validate checks the update against a target graph: the index and value
 // slices must pair up, every index must name an existing edge exactly once,
-// and every new capacity must be non-negative.
+// and every new capacity must be finite and non-negative.
 func (u CapacityUpdate) Validate(g *Graph) error {
 	if g == nil {
 		return fmt.Errorf("graph: capacity update on a nil graph")
@@ -39,8 +40,8 @@ func (u CapacityUpdate) Validate(g *Graph) error {
 			return fmt.Errorf("graph: capacity update names edge %d twice", e)
 		}
 		seen[e] = true
-		if u.Capacities[k] < 0 {
-			return fmt.Errorf("graph: capacity update sets edge %d to %g: %w", e, u.Capacities[k], ErrNegativeCapacity)
+		if err := checkCapacity(u.Capacities[k]); err != nil {
+			return fmt.Errorf("graph: capacity update sets edge %d to %g: %w", e, u.Capacities[k], err)
 		}
 	}
 	return nil
@@ -76,8 +77,8 @@ type UpdateRecord struct {
 //     appended, which consumes one unit of the consumer's structural slack.
 type StructuralUpdate struct {
 	// AddEdges are the edges to insert; each needs in-range endpoints, no
-	// self loop, and positive capacity (inserting a dead edge is a no-op the
-	// update rejects as a likely caller bug).
+	// self loop, and a finite positive capacity (inserting a dead edge is a
+	// no-op the update rejects as a likely caller bug).
 	AddEdges []Edge
 	// RemoveEdges are the indices of edges to remove (park).  No duplicates;
 	// already-parked edges cannot be removed again.
@@ -112,6 +113,9 @@ func (u StructuralUpdate) Validate(g *Graph) error {
 		}
 		if e.From == e.To {
 			return fmt.Errorf("graph: structural update add %d: %w", k, ErrSelfLoop)
+		}
+		if !finite(e.Capacity) {
+			return fmt.Errorf("graph: structural update add %d: %w", k, ErrNonFiniteCapacity)
 		}
 		if e.Capacity <= 0 {
 			return fmt.Errorf("graph: structural update add %d needs positive capacity, got %g", k, e.Capacity)

@@ -127,34 +127,33 @@ func (p Params) Validate() error {
 }
 
 // Generate builds a graph according to the parameters.
+//
+// Every edge is placed by a branch-free quadrant descent and its capacity is
+// drawn right after it; the edges are staged in one slice and the graph is
+// built from it with exact-capacity adjacency (graph.FromEdges).  The RNG is
+// consumed in a fixed order, so a seed always yields the same graph.
 func Generate(p Params) (*graph.Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	g, err := graph.New(p.Vertices, 0, p.Vertices-1)
-	if err != nil {
-		return nil, err
-	}
-	g.ReserveEdges(p.Edges)
 	minCap := p.MinCapacity
 	if minCap < 1 {
 		minCap = 1
 	}
-	drawCapacity := func() float64 {
-		return float64(minCap + rng.Intn(p.MaxCapacity-minCap+1))
-	}
+	capRange := p.MaxCapacity - minCap + 1
 
 	levels := levelsFor(p.Vertices)
-	// Cumulative quadrant thresholds, hoisted out of the placement loop; the
-	// comparisons (and hence the RNG consumption pattern) are identical to
-	// computing them inline.
+	// Cumulative quadrant thresholds, hoisted out of the placement loop.
 	tAB, tABC := p.A+p.B, p.A+p.B+p.C
-	seen := make(map[int64]bool, p.Edges)
-	placed := 0
+	var seen pairSet
+	if !p.AllowParallel {
+		seen = newPairSet(p.Edges)
+	}
+	edges := make([]graph.Edge, 0, p.Edges)
 	attempts := 0
 	maxAttempts := 50*p.Edges + 1000
-	for placed < p.Edges && attempts < maxAttempts {
+	for len(edges) < p.Edges && attempts < maxAttempts {
 		attempts++
 		u, v := placeEdge(rng, levels, p.A, tAB, tABC)
 		if u >= p.Vertices || v >= p.Vertices {
@@ -165,19 +164,17 @@ func Generate(p Params) (*graph.Graph, error) {
 		if u == v {
 			continue
 		}
-		// int64 key: u*Vertices+v stays collision-free on 32-bit platforms.
-		key := int64(u)*int64(p.Vertices) + int64(v)
-		if !p.AllowParallel && seen[key] {
+		if !p.AllowParallel && !seen.insert(uint64(u)*uint64(p.Vertices)+uint64(v)) {
 			continue
 		}
-		seen[key] = true
-		if _, err := g.AddEdge(u, v, drawCapacity()); err != nil {
-			return nil, err
-		}
-		placed++
+		edges = append(edges, graph.Edge{From: u, To: v, Capacity: float64(minCap + rng.Intn(capRange))})
 	}
-	if placed < p.Edges {
-		return nil, fmt.Errorf("rmat: placed only %d of %d edges after %d attempts", placed, p.Edges, attempts)
+	if len(edges) < p.Edges {
+		return nil, fmt.Errorf("rmat: placed only %d of %d edges after %d attempts", len(edges), p.Edges, attempts)
+	}
+	g, err := graph.FromEdges(p.Vertices, 0, p.Vertices-1, edges)
+	if err != nil {
+		return nil, err
 	}
 	if p.EnsurePath && !g.SinkReachable() {
 		addRandomPath(g, rng, p)
@@ -205,25 +202,60 @@ func levelsFor(n int) int {
 	return levels
 }
 
-// placeEdge draws a single (u, v) position by recursive quadrant descent; tA,
-// tAB and tABC are the cumulative quadrant thresholds A, A+B and A+B+C.
+// placeEdge draws a single (u, v) position by recursive quadrant descent, one
+// rng.Float64 per level; tA, tAB and tABC are the cumulative quadrant
+// thresholds A, A+B and A+B+C.  Each level shifts one bit into both indices:
+// u's bit is set in the lower quadrants (r ≥ A+B) and v's in the right ones
+// (A ≤ r < A+B or r ≥ A+B+C), computed without branches because the
+// quadrant choice is unpredictable.
 func placeEdge(rng *rand.Rand, levels int, tA, tAB, tABC float64) (int, int) {
 	u, v := 0, 0
 	for l := 0; l < levels; l++ {
 		r := rng.Float64()
-		switch {
-		case r < tA:
-			// top-left quadrant: no bit set
-		case r < tAB:
-			v |= 1 << (levels - 1 - l)
-		case r < tABC:
-			u |= 1 << (levels - 1 - l)
-		default:
-			u |= 1 << (levels - 1 - l)
-			v |= 1 << (levels - 1 - l)
-		}
+		ge1, ge2, ge3 := bit(r >= tA), bit(r >= tAB), bit(r >= tABC)
+		u = u<<1 | ge2
+		v = v<<1 | (ge1 ^ ge2 ^ ge3)
 	}
 	return u, v
+}
+
+// bit converts a comparison to 0 or 1; the compiler lowers it to a flag set.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// pairSet is an open-addressed set of (u, v) keys u·|V|+v, which the
+// generator fills only with off-diagonal pairs, so the key 0 (the pair
+// (0, 0)) marks an empty slot.
+type pairSet struct {
+	slots []uint64
+	mask  uint64
+}
+
+// newPairSet sizes the table to a power of two of at least twice n slots,
+// which keeps linear probes short at the generator's fill of at most n keys.
+func newPairSet(n int) pairSet {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return pairSet{slots: make([]uint64, size), mask: uint64(size - 1)}
+}
+
+// insert adds key and reports whether it was absent.
+func (s *pairSet) insert(key uint64) bool {
+	for i := (key * 0x9E3779B97F4A7C15) >> 32 & s.mask; ; i = (i + 1) & s.mask {
+		switch s.slots[i] {
+		case key:
+			return false
+		case 0:
+			s.slots[i] = key
+			return true
+		}
+	}
 }
 
 // addRandomPath threads a random source-to-sink path through existing

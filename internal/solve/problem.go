@@ -318,6 +318,10 @@ func (p *Problem) DecomposeOptions() decompose.Options { return p.dec }
 // Budget returns the problem's substrate budget (zero when unset).
 func (p *Problem) Budget() Budget { return p.budget }
 
+// fingerprintChunk is the block size Fingerprint feeds to SHA-256, a
+// multiple of both the 8-byte word and the 64-byte hash block.
+const fingerprintChunk = 32 << 10
+
 // fingerprintNonce makes problems carrying non-content-hashable
 // configuration (function-valued hooks) unique instead of wrongly shared.
 var fingerprintNonce atomic.Int64
@@ -334,35 +338,37 @@ var fingerprintNonce atomic.Int64
 func (p *Problem) Fingerprint() string {
 	p.pipe.fpOnce.Do(func() {
 		h := sha256.New()
-		var buf [8]byte
-		writeInt := func(v int) {
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			h.Write(buf[:])
+		// The fields are little-endian words, written to the hash in
+		// fingerprintChunk-byte blocks rather than one word at a time.
+		buf := make([]byte, 0, fingerprintChunk)
+		put := func(v uint64) {
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
-		writeFloat := func(f float64) {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			h.Write(buf[:])
-		}
-		writeInt(p.g.NumVertices())
-		writeInt(p.g.Source())
-		writeInt(p.g.Sink())
-		writeInt(p.g.NumEdges())
+		put(uint64(p.g.NumVertices()))
+		put(uint64(p.g.Source()))
+		put(uint64(p.g.Sink()))
+		put(uint64(p.g.NumEdges()))
 		for i := 0; i < p.g.NumEdges(); i++ {
 			e := p.g.Edge(i)
-			writeInt(e.From)
-			writeInt(e.To)
-			writeFloat(e.Capacity)
+			put(uint64(e.From))
+			put(uint64(e.To))
+			put(math.Float64bits(e.Capacity))
 		}
 		// Parked slots are structurally resident but carry no flow; a parked
 		// edge and an ordinary capacity-0 edge hash identically above, yet
 		// their instances differ (the slot survives pruning and reserves a
 		// pattern position), so the parked set joins the hash.
 		if np := p.g.NumParked(); np > 0 {
-			writeInt(np)
+			put(uint64(np))
 			for _, i := range p.g.ParkedEdges() {
-				writeInt(i)
+				put(uint64(i))
 			}
 		}
+		h.Write(buf)
 		params := p.params
 		// The mode field is ignored by WithParams (each analog backend
 		// forces its own); hashing it would fragment the warm-instance

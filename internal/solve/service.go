@@ -219,6 +219,10 @@ func (s *Service) Registry() *Registry { return s.reg }
 // Metrics returns the service's instrument registry, for exposition.
 func (s *Service) Metrics() *metrics.Registry { return s.mreg }
 
+// Workers returns the service-wide worker bound (Config.Workers, or
+// GOMAXPROCS when that was unset).
+func (s *Service) Workers() int { return s.workers }
+
 // Stats is a snapshot of the service counters.
 type Stats struct {
 	// Requests counts Solve calls (batch items included); Errors the subset

@@ -139,6 +139,38 @@ func TestNewProblemValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteCapacityRejectedTyped pins that a NaN or infinite capacity
+// can enter a Problem neither through a parse nor through an update: every
+// path answers a *ValidationError wrapping graph.ErrNonFiniteCapacity instead
+// of a silently wrong flow value.
+func TestNonFiniteCapacityRejectedTyped(t *testing.T) {
+	check := func(what string, err error) {
+		t.Helper()
+		var verr *ValidationError
+		if !errors.As(err, &verr) || !errors.Is(err, graph.ErrNonFiniteCapacity) {
+			t.Errorf("%s: want *ValidationError wrapping ErrNonFiniteCapacity, got %v", what, err)
+		}
+	}
+	for _, c := range []string{"inf", "-Inf", "NaN", "+infinity"} {
+		_, err := FromDIMACS(strings.NewReader("p max 4 4\nn 1 s\nn 4 t\na 1 2 " + c + "\na 2 4 3\na 1 3 2\na 3 4 1\n"))
+		check("FromDIMACS "+c, err)
+	}
+	base, err := NewProblem(graph.PaperFigure5())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := base.WithUpdate(graph.CapacityUpdate{Edges: []int{0}, Capacities: []float64{c}})
+		check("WithUpdate", err)
+		_, err = base.WithStructuralUpdate(graph.StructuralUpdate{AddEdges: []graph.Edge{{From: 1, To: 4, Capacity: c}}})
+		check("WithStructuralUpdate", err)
+		svc := NewService(Config{Workers: 1})
+		_, err = svc.Update(context.Background(), UpdateRequest{Solver: "dinic", Problem: base,
+			Update: graph.CapacityUpdate{Edges: []int{0}, Capacities: []float64{c}}})
+		check("Service.Update", err)
+	}
+}
+
 // TestSameSourceSinkRejectedTyped pins the fix for the silent-acceptance
 // issue: an instance whose source equals its sink can only arrive through a
 // parse (the in-memory constructors already reject it), and the problem
