@@ -7,7 +7,7 @@ import (
 )
 
 // serverVersion is the API surface version /v1/healthz and /v1/stats report.
-const serverVersion = "0.11.1"
+const serverVersion = "0.11.2"
 
 // Error codes of the v1 JSON error envelope.  Every non-stream error
 // response — and the code field of mid-stream NDJSON error records — uses

@@ -656,29 +656,6 @@ func solveOptions(ps *paramSpec, bs *budgetSpec) ([]solve.Option, error) {
 	return append(opts, solve.WithParams(params)), nil
 }
 
-// streamItem is one NDJSON line of a solve response.
-type streamItem struct {
-	Index  int           `json:"index"`
-	Report *solve.Report `json:"report,omitempty"`
-	Error  string        `json:"error,omitempty"`
-	// Code classifies error records with the same vocabulary the non-stream
-	// JSON envelope uses (solver_error, overloaded, draining, aborted).
-	Code  string `json:"code,omitempty"`
-	Done  bool   `json:"done,omitempty"`
-	Count int    `json:"count,omitempty"`
-	// Aborted marks the terminal record of a stream truncated by request
-	// cancellation — structurally distinct from a per-item error record, so
-	// clients never have to sniff the error text to tell them apart.
-	Aborted bool `json:"aborted,omitempty"`
-	// Draining marks the terminal record of a stream cut short by server
-	// shutdown: the items counted in Count completed normally, the rest
-	// never started, and the client should retry them elsewhere.
-	Draining bool `json:"draining,omitempty"`
-	// RetryAfterSeconds accompanies shed-item error records with the
-	// admission queue's back-off estimate.
-	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
-}
-
 // retryAfterSeconds converts an overload error's back-off into whole
 // seconds, at least 1 (the Retry-After header unit).
 func retryAfterSeconds(ovl *solve.OverloadError) int {
@@ -732,7 +709,9 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		reqs[i] = solve.Request{Solver: req.Solver, Problem: prob, Deadline: s.deadlineFor(req.TimeoutMS)}
 	}
 
-	enc := json.NewEncoder(w)
+	bufp := recordBufs.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	defer func() { *bufp = buf[:0]; recordBufs.Put(bufp) }()
 	flusher, _ := w.(http.Flusher)
 	// The NDJSON header is deferred until the first record: a single-problem
 	// request whose only item is shed by the admission queue gets a clean
@@ -756,8 +735,8 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// servers and disconnected clients cut the batch short, while in-flight
 	// items finish their record.
 	stop := func() bool { return s.draining.Load() || clientGone.Load() }
-	// solveBatch serialises onResult calls, so the encoder needs no extra
-	// locking; each completed solve streams out immediately.
+	// solveBatch serialises onResult calls, so the record buffer needs no
+	// extra locking; each completed solve streams out immediately.
 	s.svc.SolveBatchDrain(r.Context(), reqs, func(res solve.BatchResult) {
 		if errors.Is(res.Err, solve.ErrStopped) {
 			stopped++
@@ -783,7 +762,16 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				item.RetryAfterSeconds = retryAfterSeconds(ovl)
 			}
 		}
-		if err := enc.Encode(item); err != nil {
+		line, err := item.appendJSON(buf[:0])
+		if err != nil {
+			// A report holding a NaN or ±Inf number (a flow value past
+			// MaxFloat64) cannot be encoded: the item fails like a solve.
+			item = streamItem{Index: res.Index, Code: codeSolverError,
+				Error: fmt.Sprintf("report cannot be encoded: %v", err)}
+			line, _ = item.appendJSON(buf[:0])
+		}
+		buf = line
+		if _, err := w.Write(buf); err != nil {
 			if clientGone.CompareAndSwap(false, true) {
 				s.disconnects.Inc()
 			}
@@ -804,15 +792,14 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// whole batch: {"done":true} only for a completed batch; a cancelled,
 	// expired or drained request ends with a marked record instead, so a
 	// truncated stream is never mistaken for a complete one.
+	last := streamItem{Done: true, Count: len(reqs)}
 	if stopped > 0 {
-		_ = enc.Encode(streamItem{Draining: true, Code: codeDraining, Error: fmt.Sprintf("server draining: %d of %d results emitted", emitted, len(reqs)), Count: emitted})
-		return
+		last = streamItem{Draining: true, Code: codeDraining, Error: fmt.Sprintf("server draining: %d of %d results emitted", emitted, len(reqs)), Count: emitted}
+	} else if err := r.Context().Err(); err != nil {
+		last = streamItem{Aborted: true, Code: codeAborted, Error: fmt.Sprintf("stream aborted after %d of %d results: %v", emitted, len(reqs), err), Count: emitted}
 	}
-	if err := r.Context().Err(); err != nil {
-		_ = enc.Encode(streamItem{Aborted: true, Code: codeAborted, Error: fmt.Sprintf("stream aborted after %d of %d results: %v", emitted, len(reqs), err), Count: emitted})
-		return
-	}
-	_ = enc.Encode(streamItem{Done: true, Count: len(reqs)})
+	buf, _ = last.appendJSON(buf[:0])
+	_, _ = w.Write(buf)
 }
 
 // --- long-lived update sessions --------------------------------------------
@@ -983,6 +970,21 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, http.StatusUnprocessableEntity, codeSolveFailed, "solve failed: %v", err)
 		return
 	}
+	// The response is encoded before the session is published, so a report
+	// that cannot be encoded (a NaN or ±Inf number) fails the create and
+	// leaves no session, and no warm state, behind.
+	sess.touch(time.Now())
+	lastUsed, expiresAt := s.sessionTimes(sess)
+	resp := map[string]any{"session_id": sess.id, "solver": sess.solver, "report": rep, "last_used": lastUsed}
+	if expiresAt != "" {
+		resp["expires_at"] = expiresAt
+	}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		s.svc.Release(prob, req.Solver)
+		s.writeAPIError(w, http.StatusUnprocessableEntity, codeSolveFailed, "solve failed: report cannot be encoded: %v", err)
+		return
+	}
 	s.mu.Lock()
 	if len(s.sessions) >= maxSessions {
 		// Concurrent creates raced past the early cap check during the
@@ -992,15 +994,9 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, http.StatusTooManyRequests, codeTooManySessions, "%s", msg)
 		return
 	}
-	sess.touch(time.Now())
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
-	lastUsed, expiresAt := s.sessionTimes(sess)
-	resp := map[string]any{"session_id": sess.id, "solver": sess.solver, "report": rep, "last_used": lastUsed}
-	if expiresAt != "" {
-		resp["expires_at"] = expiresAt
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeBody(w, http.StatusOK, body)
 }
 
 // lookupSession resolves an id to a live session, or — when the id was
@@ -1100,7 +1096,9 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	enc := json.NewEncoder(w)
+	bufp := recordBufs.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	defer func() { *bufp = buf[:0]; recordBufs.Put(bufp) }()
 	flusher, _ := w.(http.Flusher)
 	// Defer the header like handleSolve does, so a first step shed by the
 	// admission queue maps to 429 + Retry-After instead of a 200 stream.
@@ -1113,6 +1111,13 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 	}
+	// endStream writes a terminal record; the stream has nothing left to
+	// lose if that write fails.
+	endStream := func(item streamItem) {
+		startStream()
+		buf, _ = item.appendJSON(buf[:0])
+		_, _ = w.Write(buf)
+	}
 	applied := 0
 	for i, st := range steps {
 		if err := r.Context().Err(); err != nil {
@@ -1123,8 +1128,7 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 			// been acknowledged by its own record, so end the stream with
 			// the terminal draining marker and keep the session consistent
 			// at the last applied problem.
-			startStream()
-			_ = enc.Encode(streamItem{Draining: true, Code: codeDraining, Error: fmt.Sprintf("server draining: %d of %d steps applied", applied, len(steps)), Count: applied})
+			endStream(streamItem{Draining: true, Code: codeDraining, Error: fmt.Sprintf("server draining: %d of %d steps applied", applied, len(steps)), Count: applied})
 			return
 		}
 		res, err := s.svc.Update(r.Context(), solve.UpdateRequest{
@@ -1141,30 +1145,35 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 			// failure) is terminal: the error record ends the stream —
 			// {"done":true} is reserved for fully applied requests — and
 			// the session stays at the last successfully updated problem.
-			startStream()
-			item := streamItem{Index: i, Code: codeSolverError,
-				Error: fmt.Sprintf("step %d failed after %d of %d steps applied: %v", i, applied, len(steps), err),
-				Count: applied}
+			item := stepFailure(i, applied, len(steps), err)
 			if errors.As(err, &ovl) {
 				item.Code = codeOverloaded
 				item.RetryAfterSeconds = retryAfterSeconds(ovl)
 			}
-			_ = enc.Encode(item)
+			endStream(item)
 			return
 		}
+		// Structural steps additionally report the remaining slack: how many
+		// parked slots the chain can still absorb value-level before the next
+		// genuinely new edge forces a cold rebuild.
+		rec := stepRecord{index: i, report: res.Report, warm: res.Warm,
+			structural: res.Structural, slackRemaining: res.SlackRemaining}
+		line, err := rec.appendJSON(buf[:0])
+		if err != nil {
+			// A report holding a NaN or ±Inf number cannot be acknowledged,
+			// so the step fails like a solve: the session stays at the last
+			// acknowledged problem, and the warm state the step left for the
+			// unacknowledged one is dropped.
+			s.svc.Release(res.Problem, sess.solver)
+			endStream(stepFailure(i, applied, len(steps), fmt.Errorf("report cannot be encoded: %w", err)))
+			return
+		}
+		buf = line
 		sess.problem = res.Problem
 		sess.updates++
 		sess.touch(time.Now())
 		startStream()
-		record := map[string]any{"index": i, "warm": res.Warm, "report": res.Report}
-		if res.Structural {
-			// Structural steps additionally report the remaining slack: how
-			// many parked slots the chain can still absorb value-level before
-			// the next genuinely new edge forces a cold rebuild.
-			record["structural"] = true
-			record["slack_remaining"] = res.SlackRemaining
-		}
-		if err := enc.Encode(record); err != nil {
+		if _, err := w.Write(buf); err != nil {
 			// The client went away mid-stream: the session state is
 			// consistent at the applied step, so stop solving for a dead
 			// socket and account the disconnect.
@@ -1176,17 +1185,15 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	startStream()
 	if err := r.Context().Err(); err != nil {
-		_ = enc.Encode(streamItem{Aborted: true, Code: codeAborted, Error: fmt.Sprintf("stream aborted after %d of %d steps: %v", applied, len(steps), err), Count: applied})
+		endStream(streamItem{Aborted: true, Code: codeAborted, Error: fmt.Sprintf("stream aborted after %d of %d steps: %v", applied, len(steps), err), Count: applied})
 		return
 	}
 	lastUsed, expiresAt := s.sessionTimes(sess)
-	done := map[string]any{"done": true, "count": applied, "session_updates": sess.updates, "last_used": lastUsed}
-	if expiresAt != "" {
-		done["expires_at"] = expiresAt
-	}
-	_ = enc.Encode(done)
+	done := doneRecord{count: applied, sessionUpdates: sess.updates, lastUsed: lastUsed, expiresAt: expiresAt}
+	startStream()
+	buf = done.appendJSON(buf[:0])
+	_, _ = w.Write(buf)
 }
 
 // tombstoneFor returns the tombstone for id, if one exists.
@@ -1222,13 +1229,24 @@ func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// writeJSON writes one JSON response; an encode failure means the client
-// disconnected mid-write and is accounted in the healthz counter rather
-// than silently dropped.
+// writeJSON writes one JSON response: json.Marshal's bytes and a newline.
+// Every value passed here holds only finite numbers, so an encode failure is
+// a bug; session create, whose report may not encode, encodes its response
+// itself and calls writeBody.
 func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("analogflowd: response cannot be encoded: %v", err))
+	}
+	s.writeBody(w, status, body)
+}
+
+// writeBody writes one encoded JSON response and its trailing newline; only
+// a failed write counts as a client disconnect.
+func (s *server) writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		s.disconnects.Inc()
 	}
 }

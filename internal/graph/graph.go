@@ -172,29 +172,47 @@ func (e *EdgeError) Error() string { return fmt.Sprintf("graph: edge %d: %v", e.
 func (e *EdgeError) Unwrap() error { return e.Err }
 
 // FromEdges builds the graph with n vertices, source s, sink t and the given
-// edges in order, with exact-capacity adjacency lists allocated once (the
-// layout Clone and Grid use).  It validates every edge exactly as AddEdge
-// does and reports the first rejected one as an *EdgeError; the terminals
-// are checked first, as New checks them.  On success the graph owns the
-// backing array of edges, so the caller must not modify it afterwards.
+// edges in order, with exact-capacity adjacency lists allocated once (one
+// shared backing array each, the layout Clone copies).  ReadDIMACS,
+// rmat.Generate, Grid, LongPath and the s-t-core prune build through it.
+// It validates every edge exactly as AddEdge does and reports the first
+// rejected one as an *EdgeError; the terminals are checked first, as New
+// checks them.  On success the graph owns the backing array of edges, so
+// the caller must not modify it afterwards.
 func FromEdges(n, s, t int, edges []Edge) (*Graph, error) {
 	g, err := New(n, s, t)
 	if err != nil {
 		return nil, err
 	}
-	deg := make([]int, 2*n)
-	outDeg, inDeg := deg[:n], deg[n:]
+	// next[v] and next[n+v] first count v's out- and in-edges, then hold
+	// where v's next out- and in-entry goes in the flat adjacency arrays.
+	next := make([]int, 2*n)
 	for i, e := range edges {
 		if err := g.checkEdge(e.From, e.To, e.Capacity); err != nil {
 			return nil, &EdgeError{Index: i, Err: err}
 		}
-		outDeg[e.From]++
-		inDeg[e.To]++
+		next[e.From]++
+		next[n+e.To]++
 	}
-	g.reserve(edges[:0:len(edges)], outDeg, inDeg)
-	for _, e := range edges {
-		g.appendEdge(e)
+	m := len(edges)
+	outFlat, inFlat := make([]int, m), make([]int, m)
+	for v, out, in := 0, 0, 0; v < n; v++ {
+		out, next[v] = out+next[v], out
+		in, next[n+v] = in+next[n+v], in
 	}
+	for i, e := range edges {
+		outFlat[next[e.From]] = i
+		next[e.From]++
+		inFlat[next[n+e.To]] = i
+		next[n+e.To]++
+	}
+	// next[v] now ends v's lists, where v+1's begin.
+	for v, out, in := 0, 0, 0; v < n; v++ {
+		g.out[v] = outFlat[out:next[v]:next[v]]
+		g.in[v] = inFlat[in:next[n+v]:next[n+v]]
+		out, in = next[v], next[n+v]
+	}
+	g.edges = edges[:m:m]
 	return g, nil
 }
 
@@ -278,30 +296,6 @@ func (g *Graph) ReserveEdges(n int) {
 		grown := make([]Edge, len(g.edges), len(g.edges)+n)
 		copy(grown, g.edges)
 		g.edges = grown
-	}
-}
-
-// reserve installs edges (empty, with capacity for every edge the graph will
-// receive) as the edge list and preallocates exact-capacity adjacency lists
-// (one shared backing array each, like Clone) for the given degree profile.
-// Callers must add no more than outDeg[v] (resp. inDeg[v]) edges at any
-// vertex, otherwise append falls back to a private reallocation and the
-// backing array is partially wasted (never corrupted, because every
-// sub-slice is capacity-clamped).
-func (g *Graph) reserve(edges []Edge, outDeg, inDeg []int) {
-	g.edges = edges
-	m := cap(edges)
-	outFlat := make([]int, m)
-	inFlat := make([]int, m)
-	pos := 0
-	for v := 0; v < g.n; v++ {
-		g.out[v] = outFlat[pos : pos : pos+outDeg[v]]
-		pos += outDeg[v]
-	}
-	pos = 0
-	for v := 0; v < g.n; v++ {
-		g.in[v] = inFlat[pos : pos : pos+inDeg[v]]
-		pos += inDeg[v]
 	}
 }
 

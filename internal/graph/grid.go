@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,15 +17,15 @@ type GridSpec struct {
 	// default is the 4-neighbourhood.
 	Eight bool
 	// Capacity returns the capacity of the directed link from pixel (x1, y1)
-	// to its neighbour (x2, y2).  It must be pure and non-negative: Grid
-	// evaluates it once while sizing the graph and once while filling it.
-	// Nil means unit capacities.
+	// to its neighbour (x2, y2), and of the link back.  It must be
+	// non-negative; Grid evaluates it once per neighbour pair.  Nil means
+	// unit capacities.
 	Capacity func(x1, y1, x2, y2 int) float64
 	// Terminal returns the source-link and sink-link capacities of pixel
-	// (x, y); a non-positive value omits that link.  Like Capacity it must
-	// be pure, as it is evaluated during both the sizing and filling passes.
-	// Nil attaches the top-left pixel to the source and the bottom-right
-	// pixel to the sink with capacity Width*Height each.
+	// (x, y); a value that is not positive (NaN included) omits that link.
+	// Grid evaluates it once per pixel.  Nil attaches the top-left pixel to
+	// the source and the bottom-right pixel to the sink with capacity
+	// Width*Height each.
 	Terminal func(x, y int) (src, sink float64)
 }
 
@@ -48,18 +49,24 @@ func (s GridSpec) defaultTerminal(x, y int) (src, sink float64) {
 	return src, sink
 }
 
-// Grid generates the flow network described by spec.  The generator is
-// allocation-light: it sizes the edge list and every adjacency list exactly
-// (single shared backing arrays, the Clone layout) before inserting a single
-// edge, so a 10^6-vertex grid builds without any append growth.  Neighbour
-// links are emitted in row-major pixel order — right, down, then the two
-// down diagonals under Eight, each as a forward/backward pair — followed by
-// the terminal links in row-major order, matching the layout of the original
-// examples/imageseg construction.
+// Grid generates the flow network described by spec.  Every edge is staged
+// once, in the documented order — row-major pixel pairs (right, down, then
+// the two down diagonals under Eight), each as a forward/backward pair,
+// followed by the terminal links in row-major order, matching the layout of
+// the original examples/imageseg construction — and FromEdges lays the graph
+// out with exact-capacity adjacency lists, so a 10^6-vertex grid builds
+// without any append growth.  A rejected capacity fails with the bare
+// AddEdge error of the first bad edge in that order.
 func Grid(spec GridSpec) (*Graph, error) {
 	w, h := spec.Width, spec.Height
 	if w < 1 || h < 1 {
 		return nil, fmt.Errorf("graph: grid dimensions %dx%d must be positive", w, h)
+	}
+	n := spec.Vertices()
+	if n < 2 {
+		// w·h overflowed; New names the count.
+		_, err := New(n, 0, 1)
+		return nil, err
 	}
 	capFn := spec.Capacity
 	if capFn == nil {
@@ -69,69 +76,62 @@ func Grid(spec GridSpec) (*Graph, error) {
 	if termFn == nil {
 		termFn = spec.defaultTerminal
 	}
-	g, err := New(spec.Vertices(), 0, 1)
-	if err != nil {
-		return nil, err
-	}
-
-	// Sizing pass: exact edge count and degree profile.
-	outDeg := make([]int, g.n)
-	inDeg := make([]int, g.n)
-	edges := 0
-	countLink := func(u, v int) {
-		outDeg[u]++
-		inDeg[v]++
-		edges++
-	}
-	forEachNeighbour(spec, func(x1, y1, x2, y2 int) {
-		u, v := spec.PixelVertex(x1, y1), spec.PixelVertex(x2, y2)
-		countLink(u, v)
-		countLink(v, u)
-	})
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			src, sink := termFn(x, y)
-			if src > 0 {
-				countLink(0, spec.PixelVertex(x, y))
-			}
-			if sink > 0 {
-				countLink(spec.PixelVertex(x, y), 1)
-			}
+	// Terminal links are counted first, so the staging slice, which FromEdges
+	// keeps as the graph's edge array, is sized exactly.
+	terms := make([][2]float64, w*h)
+	links := 0
+	for i := range terms {
+		src, sink := termFn(i%w, i/w)
+		terms[i] = [2]float64{src, sink}
+		if src > 0 {
+			links++
+		}
+		if sink > 0 {
+			links++
 		}
 	}
-	g.reserve(make([]Edge, 0, edges), outDeg, inDeg)
-
-	// Filling pass, in the documented order.
-	var addErr error
-	forEachNeighbour(spec, func(x1, y1, x2, y2 int) {
+	pairs := (w-1)*h + w*(h-1)
+	if spec.Eight {
+		pairs += 2 * (w - 1) * (h - 1)
+	}
+	edges := make([]Edge, 0, 2*pairs+links)
+	link := func(x1, y1, x2, y2 int) {
 		c := capFn(x1, y1, x2, y2)
 		u, v := spec.PixelVertex(x1, y1), spec.PixelVertex(x2, y2)
-		if _, err := g.AddEdge(u, v, c); err != nil && addErr == nil {
-			addErr = err
-		}
-		if _, err := g.AddEdge(v, u, c); err != nil && addErr == nil {
-			addErr = err
-		}
-	})
-	if addErr != nil {
-		return nil, addErr
+		edges = append(edges, Edge{From: u, To: v, Capacity: c}, Edge{From: v, To: u, Capacity: c})
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			src, sink := termFn(x, y)
-			if src > 0 {
-				if _, err := g.AddEdge(0, spec.PixelVertex(x, y), src); err != nil {
-					return nil, err
-				}
+			if x+1 < w {
+				link(x, y, x+1, y)
 			}
-			if sink > 0 {
-				if _, err := g.AddEdge(spec.PixelVertex(x, y), 1, sink); err != nil {
-					return nil, err
+			if y+1 < h {
+				link(x, y, x, y+1)
+				if spec.Eight {
+					if x+1 < w {
+						link(x, y, x+1, y+1)
+					}
+					if x > 0 {
+						link(x, y, x-1, y+1)
+					}
 				}
 			}
 		}
 	}
-	return g, nil
+	for i, t := range terms {
+		if t[0] > 0 {
+			edges = append(edges, Edge{From: 0, To: 2 + i, Capacity: t[0]})
+		}
+		if t[1] > 0 {
+			edges = append(edges, Edge{From: 2 + i, To: 1, Capacity: t[1]})
+		}
+	}
+	g, err := FromEdges(n, 0, 1, edges)
+	var ee *EdgeError
+	if errors.As(err, &ee) {
+		return nil, ee.Err
+	}
+	return g, err
 }
 
 // MustGrid is Grid but panics on error, for tests and generators with known
@@ -144,31 +144,6 @@ func MustGrid(spec GridSpec) *Graph {
 	return g
 }
 
-// forEachNeighbour visits every unordered neighbour pair of the grid once,
-// in row-major order: right, down, and under Eight the down-right and
-// down-left diagonals.
-func forEachNeighbour(spec GridSpec, visit func(x1, y1, x2, y2 int)) {
-	w, h := spec.Width, spec.Height
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x+1 < w {
-				visit(x, y, x+1, y)
-			}
-			if y+1 < h {
-				visit(x, y, x, y+1)
-			}
-			if spec.Eight && y+1 < h {
-				if x+1 < w {
-					visit(x, y, x+1, y+1)
-				}
-				if x > 0 {
-					visit(x, y, x-1, y+1)
-				}
-			}
-		}
-	}
-}
-
 // SegmentationGrid builds the synthetic image-segmentation instance promoted
 // from examples/imageseg to arbitrary sizes: a bright disc on a shaded dark
 // background, neighbour capacities 1 + 9·exp(−10·Δ²) that fall off across
@@ -177,8 +152,17 @@ func forEachNeighbour(spec GridSpec, visit func(x1, y1, x2, y2 int)) {
 // adds deterministic per-pixel noise so repeated workloads differ; seed 0
 // reproduces the exact original image (at 12×12, the original example).
 func SegmentationGrid(width, height int, eight bool, seed int64) (*Graph, error) {
+	spec, err := segmentationSpec(width, height, eight, seed)
+	if err != nil {
+		return nil, err
+	}
+	return Grid(spec)
+}
+
+// segmentationSpec is SegmentationGrid's image and link model as a GridSpec.
+func segmentationSpec(width, height int, eight bool, seed int64) (GridSpec, error) {
 	if width < 1 || height < 1 {
-		return nil, fmt.Errorf("graph: segmentation grid %dx%d must be positive", width, height)
+		return GridSpec{}, fmt.Errorf("graph: segmentation grid %dx%d must be positive", width, height)
 	}
 	img := make([]float64, width*height)
 	side := width
@@ -209,7 +193,7 @@ func SegmentationGrid(width, height int, eight bool, seed int64) (*Graph, error)
 			}
 		}
 	}
-	return Grid(GridSpec{
+	return GridSpec{
 		Width:  width,
 		Height: height,
 		Eight:  eight,
@@ -224,7 +208,7 @@ func SegmentationGrid(width, height int, eight bool, seed int64) (*Graph, error)
 			}
 			return 0, 20 * (1 - bright)
 		},
-	})
+	}, nil
 }
 
 // MustSegmentationGrid is SegmentationGrid but panics on error.
@@ -244,16 +228,13 @@ func LongPath(n int) *Graph {
 	if n < 2 {
 		panic(fmt.Sprintf("graph: long path needs at least 2 vertices, got %d", n))
 	}
-	g := MustNew(n, 0, n-1)
-	outDeg := make([]int, n)
-	inDeg := make([]int, n)
-	for v := 0; v+1 < n; v++ {
-		outDeg[v] = 1
-		inDeg[v+1] = 1
+	edges := make([]Edge, n-1)
+	for v := range edges {
+		edges[v] = Edge{From: v, To: v + 1, Capacity: 1}
 	}
-	g.reserve(make([]Edge, 0, n-1), outDeg, inDeg)
-	for v := 0; v+1 < n; v++ {
-		g.MustAddEdge(v, v+1, 1)
+	g, err := FromEdges(n, 0, n-1, edges)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }

@@ -17,17 +17,8 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// growIntsCleared returns s resized to n with every element zeroed, reusing
+// growBoolsCleared returns s resized to n with every element false, reusing
 // the backing array when it is large enough.
-func growIntsCleared(s []int, n int) []int {
-	s = growInts(s, n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// growBoolsCleared is growIntsCleared for bool slices.
 func growBoolsCleared(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
@@ -42,7 +33,7 @@ func growBoolsCleared(s []bool, n int) []bool {
 // pruneScratch holds every transient buffer of one pruneToSTCore pass.
 type pruneScratch struct {
 	reachFromS, reachToT, keepVertex []bool
-	newIndex, stack, outDeg, inDeg   []int
+	newIndex, stack                  []int
 }
 
 var pruneScratchPool = sync.Pool{New: func() any { return new(pruneScratch) }}

@@ -136,24 +136,18 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 			res.RemovedVertices++
 		}
 	}
-	// Prepass: count surviving edges and their per-vertex degrees so the
-	// rebuilt graph is allocated exactly once instead of growing edge by edge.
-	// A parked edge whose endpoints are both alive survives as a structural
-	// slot (capacity 0, parked flag carried into the pruned graph), so a
-	// later unpark re-stamps values without changing the edge map.
+	// Prepass: count surviving edges so the rebuilt graph's edges are staged
+	// in one exactly sized slice.  A parked edge whose endpoints are both
+	// alive survives as a structural slot (capacity 0, parked flag carried
+	// into the pruned graph), so a later unpark re-stamps values without
+	// changing the edge map.
 	keepEdge := func(i int, e Edge) bool {
 		return keepVertex[e.From] && keepVertex[e.To] &&
 			e.To != g.Source() && e.From != g.Sink() && (capOf(i) > 0 || g.ParkedEdge(i))
 	}
-	outDeg := growIntsCleared(sc.outDeg, len(res.VertexMap))
-	sc.outDeg = outDeg
-	inDeg := growIntsCleared(sc.inDeg, len(res.VertexMap))
-	sc.inDeg = inDeg
 	kept := 0
 	for i, ne := 0, g.NumEdges(); i < ne; i++ {
-		if e := g.Edge(i); keepEdge(i, e) {
-			outDeg[newIndex[e.From]]++
-			inDeg[newIndex[e.To]]++
+		if keepEdge(i, g.Edge(i)) {
 			kept++
 		}
 	}
@@ -166,8 +160,7 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 		}
 		return res
 	}
-	pruned := MustNew(len(res.VertexMap), newIndex[g.Source()], newIndex[g.Sink()])
-	pruned.reserve(make([]Edge, 0, kept), outDeg, inDeg)
+	edges := make([]Edge, 0, kept)
 	res.EdgeMap = make([]int, 0, kept)
 	for i, ne := 0, g.NumEdges(); i < ne; i++ {
 		e := g.Edge(i)
@@ -175,11 +168,17 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 			res.RemovedEdges++
 			continue
 		}
-		idx := pruned.MustAddEdge(newIndex[e.From], newIndex[e.To], capOf(i))
-		if g.ParkedEdge(i) {
-			pruned.setParked(idx, true)
-		}
+		edges = append(edges, Edge{From: newIndex[e.From], To: newIndex[e.To], Capacity: capOf(i)})
 		res.EdgeMap = append(res.EdgeMap, i)
+	}
+	pruned, err := FromEdges(len(res.VertexMap), newIndex[g.Source()], newIndex[g.Sink()], edges)
+	if err != nil {
+		panic(err)
+	}
+	for j, i := range res.EdgeMap {
+		if g.ParkedEdge(i) {
+			pruned.setParked(j, true)
+		}
 	}
 	res.Graph = pruned
 	return res

@@ -25,13 +25,17 @@ package solve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"analogflow/internal/graph"
+	"analogflow/internal/jsonenc"
 )
 
 // Solver is one max-flow backend behind the unified interface.
@@ -153,6 +157,84 @@ func (r *Report) Normalized() Report {
 	cp := *r
 	cp.WallTime = 0
 	return cp
+}
+
+// AppendJSON appends exactly the bytes json.Marshal(r) produces — the fields
+// in struct order, omitempty as tagged, wall_time_ns as the integer Duration
+// — without reflection; the Plan of a planned solve is small and goes through
+// json.Marshal.  A NaN or ±Inf number fails with the
+// *json.UnsupportedValueError json.Marshal returns, and b comes back as it
+// was.  Report is deliberately not a json.Marshaler: encoding/json re-scans
+// every Marshaler's output, which costs about as much as reflection saves.
+func (r *Report) AppendJSON(b []byte) ([]byte, error) {
+	start := len(b)
+	b = append(b, `{"solver":`...)
+	b = jsonenc.AppendString(b, r.Solver)
+	var err error
+	number := func(key string, f float64) {
+		if err == nil {
+			b = append(b, key...)
+			b, err = jsonenc.AppendFloat(b, f)
+		}
+	}
+	number(`,"flow_value":`, r.FlowValue)
+	number(`,"exact_value":`, r.ExactValue)
+	number(`,"relative_error":`, r.RelativeError)
+	if len(r.EdgeFlows) > 0 && err == nil {
+		b = append(b, `,"edge_flows":[`...)
+		for i, f := range r.EdgeFlows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if f == 0 && !math.Signbit(f) { // most flows of a grid report
+				b = append(b, '0')
+			} else if b, err = jsonenc.AppendFloat(b, f); err != nil {
+				break
+			}
+		}
+		b = append(b, ']')
+	}
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{
+		{`,"convergence_time":`, r.ConvergenceTime},
+		{`,"programming_time":`, r.ProgrammingTime},
+		{`,"substrate_power":`, r.SubstratePower},
+		{`,"energy":`, r.Energy},
+	} {
+		if f.v != 0 { // omitempty; NaN is not empty
+			number(f.key, f.v)
+		}
+	}
+	if err != nil {
+		return b[:start], err
+	}
+	for _, n := range [...]struct {
+		key string
+		v   int
+	}{
+		{`,"waves":`, r.Waves},
+		{`,"pruned_vertices":`, r.PrunedVertices},
+		{`,"pruned_edges":`, r.PrunedEdges},
+		{`,"iterations":`, r.Iterations},
+	} {
+		if n.v != 0 {
+			b = append(b, n.key...)
+			b = strconv.AppendInt(b, int64(n.v), 10)
+		}
+	}
+	if r.Converged {
+		b = append(b, `,"converged":true`...)
+	}
+	if r.Plan != nil {
+		plan, _ := json.Marshal(r.Plan) // no floats: a Plan always encodes
+		b = append(b, `,"plan":`...)
+		b = append(b, plan...)
+	}
+	b = append(b, `,"wall_time_ns":`...)
+	b = strconv.AppendInt(b, int64(r.WallTime), 10)
+	return append(b, '}'), nil
 }
 
 // flowReport converts a flow on the original graph into the common report
