@@ -365,8 +365,9 @@ func BenchmarkStructuralUpdateResolve(b *testing.B) {
 
 // BenchmarkShardedUpdateResolve measures the dynamic-graph workload on an
 // instance ABOVE the substrate budget, so every step runs through the
-// partition planner's N-region decomposition: a warm chain rides the cached
-// region oracle (solve.Service.Update claims, rebinds and re-publishes it)
+// partition planner's N-region decomposition: a warm chain, started by an
+// Updatable solve, rides its own region oracle (solve.Service.Update takes,
+// rebinds and stores it back)
 // against a cold from-scratch sharded solve of every mutated problem,
 // interleaved within each iteration.  Value contract: a warm step seeds the
 // consensus from the chain's carried state, so warm and cold follow different
@@ -390,7 +391,7 @@ func BenchmarkShardedUpdateResolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := svc.Solve(context.Background(), solve.Request{Solver: backend, Problem: prob})
+			rep, err := svc.Solve(context.Background(), solve.Request{Solver: backend, Problem: prob, Updatable: true})
 			if err != nil {
 				b.Fatal(err)
 			}

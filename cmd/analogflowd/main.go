@@ -96,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		addr           = fs.String("addr", ":8723", "listen address")
 		workers        = fs.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
-		maxCached      = fs.Int("max-cached", 0, "max cached warm solver instances (0 = default)")
+		maxCached      = fs.Int("max-cached", 0, "bound on each warm-state table: one-shot instances, update chains (0 = 64)")
 		maxQueue       = fs.Int("max-queue", 0, "max requests queued for a worker slot before load shedding (0 = 8 × workers)")
 		budgetVerts    = fs.Int("budget-vertices", 0, "substrate budget: max vertices per monolithic solve; larger instances are auto-sharded (0 = unlimited)")
 		budgetRegs     = fs.Int("budget-regions", 0, "substrate budget: max regions the planner may shard into (0 = default 16)")

@@ -62,8 +62,9 @@ type server struct {
 
 // session is one long-lived update chain: a solver bound to the problem at
 // the head of the chain.  Updates are serialised per session; each one routes
-// through solve.Service.Update, so the chain rides the service's warm
-// instance for its fingerprint.
+// through solve.Service.Update, so the chain rides the warm state the service
+// holds for the session's current problem — its own, which no other session
+// and no one-shot solve can take or evict.
 type session struct {
 	id     string
 	solver string
@@ -954,9 +955,10 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	sess.touch(time.Now())
 	s.mu.Unlock()
 
-	// Solve the base problem synchronously: the report anchors the chain and
-	// the warm instance lands in the service cache — built update-capable
-	// (Updatable), so the chain's first capacity update is already warm.
+	// Solve the base problem synchronously: the report anchors the chain,
+	// and the Updatable solve keeps the chain's warm state — an
+	// update-capable instance or a region oracle — so the chain's first
+	// capacity update is already warm.
 	// The session is only published after the solve succeeds: its id is not
 	// known to any client before the response, so nothing can race an
 	// update against a session whose creation later fails.
@@ -991,6 +993,7 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		// solve; re-check at publish time so the cap is a real bound.
 		msg := s.sessionCapError(time.Now())
 		s.mu.Unlock()
+		s.svc.Release(prob, req.Solver)
 		s.writeAPIError(w, http.StatusTooManyRequests, codeTooManySessions, "%s", msg)
 		return
 	}

@@ -410,6 +410,41 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionsWithEqualContentBothStepWarm: a session owns its warm state.
+// Two sessions over problems with identical content each answer their first
+// step warm — neither can take the other's state.
+func TestSessionsWithEqualContentBothStepWarm(t *testing.T) {
+	for _, solver := range []string{"dinic", "behavioral"} {
+		srv := newTestServer(t, 2)
+		var ids []string
+		for i := 0; i < 2; i++ {
+			resp := postJSON(t, srv.URL+"/v1/sessions", fmt.Sprintf(`{"solver":%q,"problem":%s}`, solver, figure5Inline))
+			var created struct {
+				SessionID string `json:"session_id"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if created.SessionID == "" {
+				t.Fatalf("%s: create %d: status %d, no session id", solver, i, resp.StatusCode)
+			}
+			ids = append(ids, created.SessionID)
+		}
+		for _, id := range ids {
+			resp := postJSON(t, srv.URL+"/v1/sessions/"+id+"/update", `{"updates":[{"edge":0,"capacity":5}]}`)
+			lines := decodeLines(t, resp.Body)
+			resp.Body.Close()
+			if len(lines) != 2 || lines[1]["done"] != true {
+				t.Fatalf("%s: session %s: update stream %v did not complete", solver, id, lines)
+			}
+			if lines[0]["warm"] != true {
+				t.Errorf("%s: session %s stepped cold: %v", solver, id, lines[0])
+			}
+		}
+	}
+}
+
 // TestSessionDeleteReleasesWarmState: DELETE /v1/sessions/{id} drops the
 // warm state the chain held — the flat instance, or the sharded chain's
 // region oracle — instead of leaving it cached until LRU eviction.

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -752,17 +753,25 @@ func dynamicShedRow(base *graph.Graph, steps int) ([]string, error) {
 			}
 		}
 	}()
-	for start := time.Now(); svc.Stats().InFlight == 0; {
-		if time.Since(start) > 10*time.Second {
-			close(stop)
-			<-done
-			return nil, fmt.Errorf("experiments: background load never occupied the worker")
+	// Each burst request waits until the background loop holds the worker:
+	// the loop builds its next problem without a slot, and a request landing
+	// in that gap would be admitted instead of shed.
+	waitBusy := func() error {
+		for start := time.Now(); svc.Stats().InFlight == 0; runtime.Gosched() {
+			if time.Since(start) > 10*time.Second {
+				return fmt.Errorf("experiments: background load never occupied the worker")
+			}
 		}
-		time.Sleep(100 * time.Microsecond)
+		return nil
 	}
 
 	var shed, admitted int
 	for k := 0; k < steps; k++ {
+		if err := waitBusy(); err != nil {
+			close(stop)
+			<-done
+			return nil, err
+		}
 		_, err := svc.Solve(context.Background(), solve.Request{
 			Solver:   backend,
 			Problem:  prob,
@@ -809,8 +818,9 @@ func dynamicShedRow(base *graph.Graph, steps int) ([]string, error) {
 
 // dynamicShardedRow runs the dynamic-update chain in the sharded regime: a
 // substrate budget of half the instance forces the partition planner to split
-// every step into regions, and the warm chain rides the service's region
-// oracle cache while the cold side re-solves each mutated problem through a
+// every step into regions, and the warm chain, started by an Updatable solve,
+// rides its own region oracle while the cold side re-solves each mutated
+// problem through a
 // fresh planner pass.  The exact backend's warm and cold values agree to the
 // decomposition tolerance (a warm residual can recover a different optimal
 // per-region flow, steering the consensus differently); the row reports the
@@ -825,7 +835,7 @@ func dynamicShardedRow(base *graph.Graph, steps int) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := svc.Solve(context.Background(), solve.Request{Solver: backend, Problem: prob})
+	rep, err := svc.Solve(context.Background(), solve.Request{Solver: backend, Problem: prob, Updatable: true})
 	if err != nil {
 		return nil, err
 	}
@@ -845,7 +855,7 @@ func dynamicShardedRow(base *graph.Graph, steps int) ([]string, error) {
 		}
 		warmTimes = append(warmTimes, time.Since(start))
 		if !res.Warm {
-			return nil, fmt.Errorf("experiments: sharded step %d ran cold; the region-oracle cache was not reused", k)
+			return nil, fmt.Errorf("experiments: sharded step %d ran cold; the chain's region oracle was not reused", k)
 		}
 		if res.Report.Plan != nil {
 			warmIters += res.Report.Plan.OuterIterations

@@ -196,9 +196,9 @@ func (in *Injector) beforeRegion(ctx context.Context, region int) error {
 // wrapper preserves the inner solver's capability surface: an
 // UpdatableSolver stays updatable and a Warmable stays warmable, so the
 // solve.Service routes the wrapped backend through exactly the code paths —
-// warm-instance cache, update chains, region oracles — a real backend takes.
-// The wrapper keeps the inner name, so it substitutes for the backend in a
-// custom Registry.
+// one-shot warm-instance cache, update chains, region oracles — a real
+// backend takes.  The wrapper keeps the inner name, so it substitutes for the
+// backend in a custom Registry.
 func WrapSolver(inner solve.Solver, in *Injector) solve.Solver {
 	fs := faultySolver{inner: inner, in: in}
 	if us, ok := inner.(solve.UpdatableSolver); ok {
@@ -237,7 +237,7 @@ func (s *faultyWarmable) NewInstance(p *solve.Problem) (solve.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultyInstance{inner: inst, in: s.in, fp: p.Fingerprint()}, nil
+	return &faultyInstance{inner: inst, in: s.in}, nil
 }
 
 type faultyUpdatableSolver struct {
@@ -250,19 +250,12 @@ func (s *faultyUpdatableSolver) NewUpdatableInstance(p *solve.Problem) (solve.Up
 	if err != nil {
 		return nil, err
 	}
-	return &faultyUpdatableInstance{faultyInstance{inner: inst, in: s.in, fp: p.Fingerprint()}}, nil
+	return &faultyUpdatableInstance{faultyInstance{inner: inst, in: s.in}}, nil
 }
 
-// faultyInstance forwards the service's optional binding-guard interface:
-// the inner instance's binding when it publishes one, the construction
-// problem's fingerprint otherwise (kept current across updates), so wrapping
-// never makes the service misdiagnose a solve-vs-update race.
 type faultyInstance struct {
 	inner solve.Instance
 	in    *Injector
-
-	mu sync.Mutex
-	fp string
 }
 
 func (i *faultyInstance) Solve(ctx context.Context) (*solve.Report, error) {
@@ -272,27 +265,12 @@ func (i *faultyInstance) Solve(ctx context.Context) (*solve.Report, error) {
 	return i.inner.Solve(ctx)
 }
 
-func (i *faultyInstance) BoundFingerprint() string {
-	if b, ok := i.inner.(interface{ BoundFingerprint() string }); ok {
-		return b.BoundFingerprint()
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.fp
-}
-
 type faultyUpdatableInstance struct {
 	faultyInstance
 }
 
 func (i *faultyUpdatableInstance) Update(p *solve.Problem) error {
-	if err := i.inner.(solve.UpdatableInstance).Update(p); err != nil {
-		return err
-	}
-	i.mu.Lock()
-	i.fp = p.Fingerprint()
-	i.mu.Unlock()
-	return nil
+	return i.inner.(solve.UpdatableInstance).Update(p)
 }
 
 // WrapOracle wraps a decomposition region oracle so region faults

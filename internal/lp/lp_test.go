@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -150,5 +151,16 @@ func TestLPDualityOnRandomGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaxFlowProblemRefusesTooLarge: a program past MaxDenseBytes is refused
+// with ErrTooLarge, and one just under it is formulated.
+func TestMaxFlowProblemRefusesTooLarge(t *testing.T) {
+	if _, err := MaxFlowProblem(graph.MustSegmentationGrid(24, 24, false, 1)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("24x24 grid (~286 MiB): err %v, want ErrTooLarge", err)
+	}
+	if _, err := MaxFlowProblem(graph.MustSegmentationGrid(23, 23, false, 1)); err != nil {
+		t.Errorf("23x23 grid (~240 MiB): %v", err)
 	}
 }

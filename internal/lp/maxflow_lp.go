@@ -2,10 +2,33 @@ package lp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"analogflow/internal/graph"
 )
+
+// MaxDenseBytes bounds the memory MaxFlowProblem may commit a max-flow LP
+// to: its dense constraint matrix plus the simplex tableau Solve copies it
+// into.  A 24×24 segmentation grid (~286 MiB) is past it; every R-MAT
+// instance of a few hundred vertices is well within.
+const MaxDenseBytes = 256 << 20
+
+// ErrTooLarge is returned, wrapped with the sizes involved, for a max-flow
+// LP whose dense matrix and tableau would exceed MaxDenseBytes.  Nothing is
+// allocated before the refusal.
+var ErrTooLarge = errors.New("lp: program too large for the dense tableau")
+
+// maxFlowDenseBytes is the memory the max-flow LP of g commits to: an
+// (E + 2·interior) × E constraint matrix, and the (rows+1) × (E+rows+1)
+// tableau Solve builds from it (the program has no negative right-hand side,
+// so no artificial columns).  Computed in floating point, so huge graphs
+// cannot overflow it.
+func maxFlowDenseBytes(g *graph.Graph) float64 {
+	e := float64(g.NumEdges())
+	rows := e + 2*float64(g.NumVertices()-2)
+	return 8 * (rows*e + (rows+1)*(e+rows+1))
+}
 
 // This file builds the two linear programs the paper works with: the primal
 // max-flow LP of Section 2 (which the analog circuit solves directly) and the
@@ -19,7 +42,8 @@ import (
 //	           sum_in f = sum_out f  per vertex (conservation, Section 2.2)
 //
 // Variables are the per-edge flows, in the graph's edge order.  Equalities
-// become two inequalities.
+// become two inequalities.  A program whose matrix and tableau would need
+// more than MaxDenseBytes is refused with ErrTooLarge.
 func MaxFlowProblem(g *graph.Graph) (*Problem, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -27,6 +51,10 @@ func MaxFlowProblem(g *graph.Graph) (*Problem, error) {
 	n := g.NumEdges()
 	if n == 0 {
 		return nil, fmt.Errorf("lp: graph has no edges")
+	}
+	if need := maxFlowDenseBytes(g); need > MaxDenseBytes {
+		return nil, fmt.Errorf("%w: %d edges and %d vertices need %.0f MiB of matrix and tableau, over the %d MiB limit",
+			ErrTooLarge, n, g.NumVertices(), need/(1<<20), MaxDenseBytes>>20)
 	}
 	p := &Problem{C: make([]float64, n)}
 	for _, ei := range g.OutEdges(g.Source()) {

@@ -77,7 +77,7 @@ func (a *analogSolver) NewInstance(p *Problem) (Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &analogInstance{name: a.name, sess: sess, bound: p}, nil
+	return &analogInstance{name: a.name, sess: sess, p: p}, nil
 }
 
 // NewUpdatableInstance builds an update-absorbing session: private per-edge
@@ -96,35 +96,15 @@ func (a *analogSolver) NewUpdatableInstance(p *Problem) (UpdatableInstance, erro
 	if err != nil {
 		return nil, err
 	}
-	return &analogInstance{name: a.name, sess: sess, bound: p}, nil
+	return &analogInstance{name: a.name, sess: sess, p: p}, nil
 }
 
 type analogInstance struct {
 	name string
 	sess *core.Session
-
-	// boundMu guards bound, the problem the session currently answers for.
-	// The service compares it against the requested problem after a cached
-	// solve, so a Solve racing an Update that claimed and rebound the
-	// instance is detected instead of returning the wrong problem's report.
-	boundMu sync.Mutex
-	bound   *Problem
-}
-
-// BoundFingerprint implements the service's post-solve rebind check.
-func (i *analogInstance) BoundFingerprint() string {
-	i.boundMu.Lock()
-	defer i.boundMu.Unlock()
-	if i.bound == nil {
-		return ""
-	}
-	return i.bound.Fingerprint()
-}
-
-func (i *analogInstance) setBound(p *Problem) {
-	i.boundMu.Lock()
-	i.bound = p
-	i.boundMu.Unlock()
+	// p is the problem the session answers for.  Update rewrites it, and
+	// only a chain's owner updates an instance, so it needs no lock.
+	p *Problem
 }
 
 // Update rebinds the warm session to the updated problem.  Capacity-only
@@ -138,17 +118,9 @@ func (i *analogInstance) Update(p *Problem) error {
 	if err != nil {
 		return err
 	}
-	// Publish the new binding before the rebind: a Solve racing this update
-	// must see a fingerprint that differs from its own problem on either
-	// side of the swap, never a stale match against a re-stamped session.
-	i.boundMu.Lock()
-	old := i.bound
-	i.boundMu.Unlock()
-	i.setBound(p)
 	if err := i.sess.RebindStructural(prep); err != nil {
-		i.setBound(old)
 		if errors.Is(err, core.ErrSessionNotUpdatable) || errors.Is(err, core.ErrIncompatibleUpdate) {
-			if old != nil && p.Graph().NumEdges() > old.Graph().NumEdges() {
+			if p.Graph().NumEdges() > i.p.Graph().NumEdges() {
 				// The target grew past the warm instance's edge list: the
 				// insertion consumed slack that wasn't there.
 				return fmt.Errorf("%w: %v", ErrSlackExhausted, err)
@@ -157,6 +129,7 @@ func (i *analogInstance) Update(p *Problem) error {
 		}
 		return err
 	}
+	i.p = p
 	return nil
 }
 
@@ -249,13 +222,6 @@ type cpuInstance struct {
 	// maxflow.Network.Certify, so its value is reported as the exact one.
 	certified bool
 	elapsed   time.Duration
-}
-
-// BoundFingerprint implements the service's post-solve rebind check.
-func (i *cpuInstance) BoundFingerprint() string {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.p.Fingerprint()
 }
 
 func (i *cpuInstance) Solve(ctx context.Context) (*Report, error) {

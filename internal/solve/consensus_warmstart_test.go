@@ -53,7 +53,7 @@ func TestShardedOneEdgeUpdateEightRegions(t *testing.T) {
 	svc := NewService(Config{Workers: 4, Budget: budget})
 	prob := mustProblem(t, g, core.DefaultParams())
 
-	rep, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob})
+	rep, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob, Updatable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestShardedOneEdgeUpdateEightRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Warm {
-		t.Fatal("1-edge update ran cold; the claimed oracle was lost")
+		t.Fatal("1-edge update ran cold; the chain's oracle was lost")
 	}
 	pl := res.Report.Plan
 	if pl == nil || !pl.Sharded || pl.Regions != 8 {
@@ -143,7 +143,7 @@ func TestShardedWarmIncreaseEscalates(t *testing.T) {
 	budget := Budget{MaxVertices: 7}
 	svc := NewService(Config{Workers: 2, Budget: budget})
 	prob := mustProblem(t, g, core.DefaultParams())
-	rep, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob})
+	rep, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob, Updatable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestShardedUpdateChainRandomizedWarmMatchesCold(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			svc := NewService(Config{Workers: 2, Budget: budget})
 			prob := mustProblem(t, base, params)
-			if _, err := svc.Solve(context.Background(), Request{Solver: backend, Problem: prob}); err != nil {
+			if _, err := svc.Solve(context.Background(), Request{Solver: backend, Problem: prob, Updatable: true}); err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < 5; k++ {

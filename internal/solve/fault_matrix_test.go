@@ -133,9 +133,9 @@ func bumpUpdate(p *solve.Problem, k int) graph.CapacityUpdate {
 
 // TestFaultPanicMidShardedUpdateChain is the acceptance scenario: a backend
 // panic in the middle of a sharded warm update chain (a) surfaces as
-// ErrSolverPanic to that caller, (b) drops the claimed region oracle so the
-// cache is clean, (c) is accounted by solver_panics and region_cold_rebuilds,
-// and (d) the next solve of the same fingerprint runs cold, sharded and
+// ErrSolverPanic to that caller, (b) drops the chain's region oracle, (c) is
+// accounted by solver_panics and region_cold_rebuilds, and (d) a solve that
+// restarts the chain from the same problem runs cold, sharded and
 // value-correct.
 func TestFaultPanicMidShardedUpdateChain(t *testing.T) {
 	g := rmat.MustGenerate(rmat.SparseParams(200, 3))
@@ -145,7 +145,7 @@ func TestFaultPanicMidShardedUpdateChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := svc.Solve(context.Background(), solve.Request{Solver: "dinic", Problem: prob})
+	rep, err := svc.Solve(context.Background(), solve.Request{Solver: "dinic", Problem: prob, Updatable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFaultPanicMidShardedUpdateChain(t *testing.T) {
 	}
 
 	// Warm the chain with one clean step so the panic lands mid-chain, on a
-	// claimed oracle, not on the cold base solve.
+	// warm oracle, not on the cold base solve.
 	res, err := svc.Update(context.Background(), solve.UpdateRequest{
 		Solver: "dinic", Problem: prob, Update: bumpUpdate(prob, 0),
 	})
@@ -187,16 +187,16 @@ func TestFaultPanicMidShardedUpdateChain(t *testing.T) {
 		t.Errorf("solver_panics = %d, want 1", st.SolverPanics)
 	}
 	if st.CachedOracles != 0 {
-		t.Errorf("claimed oracle not dropped after panic: cached_oracles = %d", st.CachedOracles)
+		t.Errorf("the chain's oracle not dropped after panic: cached_oracles = %d", st.CachedOracles)
 	}
 	if st.RegionColdRebuilds < 1 {
 		t.Errorf("region_cold_rebuilds = %d, want >= 1 (the panicked region)", st.RegionColdRebuilds)
 	}
 
-	// The cache is clean: re-solving the chain's fingerprint rebuilds cold,
-	// still sharded, and converges to a correct value.
+	// Nothing poisoned is left: restarting the chain from its last problem
+	// builds cold, still sharded, and converges to a correct value.
 	inj.SetPlan(faultinject.Plan{})
-	rep, err = svc.Solve(context.Background(), solve.Request{Solver: "dinic", Problem: prob})
+	rep, err = svc.Solve(context.Background(), solve.Request{Solver: "dinic", Problem: prob, Updatable: true})
 	if err != nil {
 		t.Fatalf("post-panic cold solve failed: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestFaultPanicMidShardedUpdateChain(t *testing.T) {
 			rep.FlowValue, rep.ExactValue, 100*rep.RelativeError)
 	}
 	if got := svc.Stats().CachedOracles; got != 1 {
-		t.Errorf("cold re-solve did not republish the oracle: cached_oracles = %d", got)
+		t.Errorf("the restarted chain holds no oracle: cached_oracles = %d", got)
 	}
 }
 

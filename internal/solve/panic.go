@@ -15,8 +15,8 @@ var ErrSolverPanic = errors.New("solve: solver panicked")
 // SolverPanicError is a backend panic converted into an error at the
 // isolation boundary (Service.solve, Service.update, the region-oracle
 // workers).  The warm state the panicking solve was running on — a cached
-// instance, a claimed region oracle — is considered poisoned and dropped by
-// the service, so the fingerprint's next solve runs cold; the process itself
+// instance, a chain's instance or region oracle — is considered poisoned and
+// dropped by the service, so the next solve runs cold; the process itself
 // keeps serving (Stats.SolverPanics counts the conversions).
 type SolverPanicError struct {
 	// Solver is the registry name of the backend that panicked.

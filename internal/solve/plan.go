@@ -236,7 +236,7 @@ func regionSizes(part decompose.Partition, g *graph.Graph) []int {
 // update of the parent problem reaches each region as a capacity-only change
 // of its subproblem graph (the partition depends only on adjacency, which
 // capacity updates never touch), so an oracle carried from one SolveContext
-// call to the next — the service's oracleCache does exactly that for sharded
+// call to the next — the service's chain table does exactly that for sharded
 // Service.Update chains — absorbs the next step's regions warm.  A region
 // whose structure did change (a positivity flip moved its s-t core, or new
 // capacities flipped a boundary-wiring decision) falls back to a cold rebuild
@@ -252,14 +252,14 @@ type regionOracle struct {
 	coldRebuilds int
 
 	// consensus is the decomposition state of this oracle's last sharded
-	// solve (decompose.WarmState), carried across Service.Update steps by the
-	// oracle cache so the next step can seed its outer loop instead of
+	// solve (decompose.WarmState), carried across Service.Update steps with
+	// the oracle so the next step can seed its outer loop instead of
 	// re-running consensus from the structural relaxation.  baselineRelErr is
 	// the relative error of the last FULL consensus run — the acceptance
 	// reference for warm quick attempts (a warm result is only accepted while
 	// it stays within a small band of what full consensus achieves on this
-	// chain).  Both are touched only by the single solvePlanned run that has
-	// claimed the oracle, never by concurrent region solves, so they ride
+	// chain).  Both are touched only by the single solvePlanned run that owns
+	// the oracle, never by concurrent region solves, so they ride
 	// outside the mutex.
 	consensus      *decompose.WarmState
 	baselineRelErr float64
@@ -317,7 +317,7 @@ func (o *regionOracle) SolveRegion(ctx context.Context, region int, g *graph.Gra
 			case errors.Is(err, ErrSolverPanic):
 				// The panic may have left the warm instance half-retargeted;
 				// drop it and fail this region — the whole sharded solve
-				// fails and the service drops the claimed oracle.
+				// fails and the service drops the chain's oracle.
 				o.noteRebuild(st)
 				return nil, err
 			case errors.Is(err, ErrIncompatibleUpdate):
@@ -335,13 +335,17 @@ func (o *regionOracle) SolveRegion(ctx context.Context, region int, g *graph.Gra
 	}
 
 	if st.inst == nil {
-		if w, ok := o.sol.(Warmable); ok {
-			inst, err := buildInstance(w, st.prob, true)
-			if err != nil {
-				return nil, err
-			}
-			st.inst = inst
+		var inst Instance
+		var err error
+		if us, ok := o.sol.(UpdatableSolver); ok {
+			inst, err = us.NewUpdatableInstance(st.prob)
+		} else if w, ok := o.sol.(Warmable); ok {
+			inst, err = w.NewInstance(st.prob)
 		}
+		if err != nil {
+			return nil, err
+		}
+		st.inst = inst
 	}
 	// Region solves run under the panic guard: a backend panic inside one
 	// region becomes an ErrSolverPanic failure of that region (and so of the
@@ -476,7 +480,7 @@ const warmAcceptSlack = 1.25
 // plan, so clients see both what solved the regions and how the instance was
 // split.  wrap, when non-nil, decorates the oracle (the service binds each
 // region solve to a worker slot through it).  The caller owns the oracle: a
-// fresh one makes the solve cold, one claimed from the oracle cache carries
+// fresh one makes the solve cold, one taken from an update chain carries
 // the previous solve's warm region instances — and the consensus state of
 // the previous step — into this run.
 //

@@ -121,9 +121,10 @@ func NewProblem(g *graph.Graph, opts ...Option) (*Problem, error) {
 //   - The fingerprint is chained — hash(base fingerprint, update) — so
 //     deriving it costs O(|update|) instead of re-hashing the whole edge
 //     list.  Two identical chains share a fingerprint; a chained problem
-//     deliberately does not alias the fingerprint of a from-scratch problem
-//     with equal content, which keeps a warm update chain's cache entries
-//     separate from cold solves of the same instance.
+//     does not alias the fingerprint of a from-scratch problem with equal
+//     content, so a one-shot solve of a derived problem keeps a cache entry
+//     of its own.  (Update chains key their warm state by problem, not by
+//     fingerprint.)
 //
 //   - When no capacity crossed zero, the s-t core of the base problem is
 //     structurally valid for the update (pruning depends on capacities only
@@ -199,17 +200,7 @@ func (p *Problem) WithUpdate(u graph.CapacityUpdate) (*Problem, error) {
 		}
 	}
 
-	// Partition inheritance (see the doc comment above).  Partitions are
-	// immutable once memoised, so sharing the values is safe; the map is
-	// copied so the two problems' memos grow independently.
-	p.pipe.partMu.Lock()
-	if len(p.pipe.parts) > 0 {
-		p2.pipe.parts = make(map[partKey]decompose.Partition, len(p.pipe.parts))
-		for k, v := range p.pipe.parts {
-			p2.pipe.parts[k] = v
-		}
-	}
-	p.pipe.partMu.Unlock()
+	p2.inheritPartitions(p)
 	return p2, nil
 }
 
@@ -232,7 +223,7 @@ func (p *Problem) WithUpdate(u graph.CapacityUpdate) (*Problem, error) {
 //     regions and a structural update never adds vertices, so every inherited
 //     partition remains a valid cover.  This deliberately freezes the chain's
 //     decomposition — the regions owning touched edges rebuild cold inside the
-//     claimed oracle (Stats.RegionColdRebuilds) while every untouched region
+//     chain's oracle (Stats.RegionColdRebuilds) while every untouched region
 //     keeps its warm instance and consensus state, which is the selective
 //     invalidation sharded structural steps need.
 //
@@ -277,16 +268,22 @@ func (p *Problem) WithStructuralUpdate(u graph.StructuralUpdate) (*Problem, erro
 	fp := hex.EncodeToString(h.Sum(nil)[:16])
 	p2.pipe.fpOnce.Do(func() { p2.pipe.fp = fp })
 
-	// Partition inheritance (see the doc comment above).
-	p.pipe.partMu.Lock()
-	if len(p.pipe.parts) > 0 {
-		p2.pipe.parts = make(map[partKey]decompose.Partition, len(p.pipe.parts))
-		for k, v := range p.pipe.parts {
-			p2.pipe.parts[k] = v
+	p2.inheritPartitions(p)
+	return p2, nil
+}
+
+// inheritPartitions copies base's memoised partitions into p.  Partitions are
+// immutable once memoised, so sharing the values is safe; the map is copied
+// so the two problems' memos grow independently.
+func (p *Problem) inheritPartitions(base *Problem) {
+	base.pipe.partMu.Lock()
+	defer base.pipe.partMu.Unlock()
+	if len(base.pipe.parts) > 0 {
+		p.pipe.parts = make(map[partKey]decompose.Partition, len(base.pipe.parts))
+		for k, v := range base.pipe.parts {
+			p.pipe.parts[k] = v
 		}
 	}
-	p.pipe.partMu.Unlock()
-	return p2, nil
 }
 
 // StructuralSlack returns the number of parked edge slots the problem's graph
@@ -326,9 +323,11 @@ const fingerprintChunk = 32 << 10
 // configuration (function-valued hooks) unique instead of wrongly shared.
 var fingerprintNonce atomic.Int64
 
-// Fingerprint returns a content hash identifying the problem for instance
-// caching: two problems with the same graph (vertices, terminals, edge list
-// with capacities) and the same configuration share a fingerprint.  The
+// Fingerprint returns a content hash identifying the problem for the
+// one-shot instance cache: two problems with the same graph (vertices,
+// terminals, edge list with capacities) and the same configuration share a
+// fingerprint (a derived problem carries a chained one instead; see
+// WithUpdate).  The
 // configuration part hashes the rendered parameter struct, so it is stable
 // within a process — which is all the in-memory instance cache needs.
 // Function-valued hooks (builder.Options.PerturbResistance) have no

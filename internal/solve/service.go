@@ -22,16 +22,14 @@ type Config struct {
 	// Workers bounds the number of concurrently executing solves per batch;
 	// <= 0 selects GOMAXPROCS.
 	Workers int
-	// MaxCachedInstances bounds the warm-instance cache; <= 0 selects 64.
-	// When the bound is exceeded the least-recently-used instance is
-	// evicted (its engine and factorisations are garbage once no in-flight
-	// solve still holds it).
+	// MaxCachedInstances bounds each of the service's two warm-state tables;
+	// <= 0 selects 64.  The one-shot cache keeps one warm instance per
+	// (problem fingerprint, solver) pair for plain solves; the chain table
+	// keeps the warm state of each update chain (a flat instance or a
+	// sharded region oracle).  Past the bound a table evicts its
+	// least-recently-used entry (its engines and factorisations are garbage
+	// once no in-flight solve still holds them).
 	MaxCachedInstances int
-	// MaxCachedOracles bounds the warm region-oracle cache sharded solves
-	// and update chains draw from; <= 0 selects 8.  One cached oracle holds
-	// one warm instance per region, so the bound is deliberately smaller
-	// than the flat instance cache's.
-	MaxCachedOracles int
 	// Budget is the service-wide substrate budget the partition planner
 	// enforces for problems that carry none of their own: a request whose
 	// instance exceeds it is automatically sharded into budget-sized regions
@@ -52,7 +50,10 @@ type Config struct {
 // caches one warm Instance per (problem fingerprint, solver) pair, so that
 // repeated solves of the same instance reuse the same core.Session — and,
 // in circuit mode, the same mna.Engine, whose cached symbolic LU turns every
-// solve after the first into numeric-only refactorizations.
+// solve after the first into numeric-only refactorizations.  Update chains
+// keep their warm state apart from that cache, in a table keyed by the
+// chain's current problem (see chainTable), so one-shot traffic never
+// touches it.
 //
 // The Workers bound is service-wide: a semaphore caps in-flight solves
 // across every concurrent Solve and SolveBatch call, so N parallel batches
@@ -84,10 +85,8 @@ type Service struct {
 	cache map[string]*cacheEntry
 	tick  int64
 
-	// oracles is the warm region-oracle cache: one entry per sharded
-	// problem chain, claimed exclusively for the duration of a sharded
-	// solve and re-published under the fingerprint it then answers for.
-	oracles *oracleCache
+	// chains holds the warm state of every update chain.
+	chains *chainTable
 
 	inFlight atomic.Int64
 
@@ -154,7 +153,7 @@ func NewService(cfg Config) *Service {
 		mreg:      mreg,
 		meter:     metrics.NewMeter(10 * time.Second),
 		cache:     make(map[string]*cacheEntry),
-		oracles:   newOracleCache(cfg.MaxCachedOracles),
+		chains:    newChainTable(maxCached),
 	}
 	s.registerInstruments()
 	return s
@@ -197,13 +196,10 @@ func (s *Service) registerInstruments() {
 		m.GaugeFunc("analogflow_queue_depth", "Admission-queue waiters per lane.", metrics.Labels{"lane": name},
 			func() float64 { return float64(s.adm.laneDepths()[lane]) })
 	}
-	m.GaugeFunc("analogflow_cached_instances", "Warm-instance cache population.", nil, func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.cache))
-	})
-	m.GaugeFunc("analogflow_cached_oracles", "Warm region-oracle cache population.", nil,
-		func() float64 { return float64(s.oracles.size()) })
+	m.GaugeFunc("analogflow_cached_instances", "Warm flat instances held: one-shot cache entries plus flat update chains.", nil,
+		func() float64 { instances, _ := s.cached(); return float64(instances) })
+	m.GaugeFunc("analogflow_cached_oracles", "Sharded update chains holding a warm region oracle.", nil,
+		func() float64 { _, oracles := s.cached(); return float64(oracles) })
 	m.GaugeFunc("analogflow_warm_hit_ratio", "Warm-hit rate per cache.", metrics.Labels{"cache": "instance"},
 		func() float64 { return ratio(s.hits.Value(), s.misses.Value()) })
 	m.GaugeFunc("analogflow_warm_hit_ratio", "Warm-hit rate per cache.", metrics.Labels{"cache": "oracle"},
@@ -223,6 +219,15 @@ func (s *Service) Metrics() *metrics.Registry { return s.mreg }
 // GOMAXPROCS when that was unset).
 func (s *Service) Workers() int { return s.workers }
 
+// cached counts the warm state the service holds: flat instances (one-shot
+// cache entries plus flat update chains) and sharded chains' region oracles.
+func (s *Service) cached() (instances, oracles int) {
+	flat, sharded := s.chains.sizes()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.cache) + flat, sharded
+}
+
 // Stats is a snapshot of the service counters.
 type Stats struct {
 	// Requests counts Solve calls (batch items included); Errors the subset
@@ -230,11 +235,14 @@ type Stats struct {
 	Requests  int64 `json:"requests"`
 	Errors    int64 `json:"errors"`
 	Completed int64 `json:"completed"`
-	// CacheHits / CacheMisses count warm-instance lookups.
+	// CacheHits / CacheMisses count warm-instance lookups: one-shot cache
+	// lookups, chain starts (always a miss) and flat update steps (a hit when
+	// the chain's instance absorbed the step).
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// CachedInstances is the current cache population, InFlight the solves
-	// currently executing.
+	// CachedInstances counts the flat warm instances held — one-shot cache
+	// entries plus flat update chains; InFlight the solves currently
+	// executing.
 	CachedInstances int   `json:"cached_instances"`
 	InFlight        int64 `json:"in_flight"`
 	// Updates counts Update calls; UpdateWarmHits the subset a warm instance
@@ -254,11 +262,11 @@ type Stats struct {
 	ShardedSolves int64 `json:"sharded_solves"`
 	// ShardedUpdates counts Update steps routed through the planner's
 	// N-region decomposition; ShardedUpdateWarmHits the subset that ran on
-	// the chain's cached region oracle (claimed, rebound region by region,
-	// re-published).  RegionColdRebuilds totals the per-region cold rebuilds
-	// across every sharded solve — structural fallbacks inside otherwise
-	// warm chains land here, not in a lost warm hit.  CachedOracles is the
-	// oracle cache population.
+	// the chain's region oracle (rebound region by region).
+	// RegionColdRebuilds totals the per-region cold rebuilds across every
+	// sharded solve — structural fallbacks inside otherwise warm chains land
+	// here, not in a lost warm hit.  CachedOracles counts the sharded chains
+	// holding a region oracle.
 	ShardedUpdates        int64 `json:"sharded_updates"`
 	ShardedUpdateWarmHits int64 `json:"sharded_update_warm_hits"`
 	RegionColdRebuilds    int64 `json:"region_cold_rebuilds"`
@@ -305,9 +313,7 @@ type LaneDepths struct {
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	cached := len(s.cache)
-	s.mu.Unlock()
+	instances, oracles := s.cached()
 	var avgOuter float64
 	if runs := s.outerRuns.Value(); runs > 0 {
 		avgOuter = float64(s.outerIters.Value()) / float64(runs)
@@ -319,7 +325,7 @@ func (s *Service) Stats() Stats {
 		Completed:              s.completed.Value(),
 		CacheHits:              s.hits.Value(),
 		CacheMisses:            s.misses.Value(),
-		CachedInstances:        cached,
+		CachedInstances:        instances,
 		InFlight:               s.inFlight.Load(),
 		Updates:                s.updates.Value(),
 		UpdateWarmHits:         s.updatesWarm.Value(),
@@ -331,7 +337,7 @@ func (s *Service) Stats() Stats {
 		ShardedUpdates:        s.shardedUpd.Value(),
 		ShardedUpdateWarmHits: s.shardedUpdWarm.Value(),
 		RegionColdRebuilds:    s.regionRebuilds.Value(),
-		CachedOracles:         s.oracles.size(),
+		CachedOracles:         oracles,
 		ConsensusWarmStarts:   s.consensusWarm.Value(),
 		ConsensusEscalations:  s.consensusEsc.Value(),
 		RegionsSkipped:        s.regionsSkipped.Value(),
@@ -357,12 +363,14 @@ type Request struct {
 	Solver string
 	// Problem is the instance to solve.
 	Problem *Problem
-	// Updatable asks the service to build the warm instance through
-	// UpdatableSolver.NewUpdatableInstance when the backend supports it, so
-	// a later Update chain starting from this problem is warm from its
-	// first step (the session-create path of analogflowd).  It only
-	// influences instance construction; an already-cached instance for the
-	// fingerprint is used either way.
+	// Updatable starts an update chain at Problem (the session-create path
+	// of analogflowd): the solve runs on a fresh update-capable instance —
+	// or, above the budget, a fresh region oracle — and keeps it as the
+	// chain's warm state, so an Update from this very *Problem is warm from
+	// its first step.  The solve bypasses the one-shot cache and never
+	// fingerprints the problem.  Without it a solve leaves no chain state
+	// behind, and an Update from its problem starts cold.  Backends without
+	// update-capable instances (lp, decompose) ignore it.
 	Updatable bool
 	// Deadline, when non-zero, bounds the whole request — queue wait plus
 	// execution.  The admission queue sheds the request immediately with
@@ -378,8 +386,9 @@ type BatchResult struct {
 	Err    error
 }
 
-// Solve runs one request, going through the warm-instance cache when the
-// backend supports it.  The call waits for a free service-wide worker slot
+// Solve runs one request, going through the one-shot warm-instance cache
+// when the backend supports it (or starting an update chain, see
+// Request.Updatable).  The call waits for a free service-wide worker slot
 // (or the context, or the request deadline) before executing; under overload
 // it may be shed immediately with ErrOverloaded instead of queueing past its
 // deadline (see Config.MaxQueue and Request.Deadline).
@@ -443,48 +452,32 @@ func (s *Service) solve(ctx context.Context, req Request) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if rep, routed, _, err := s.planAndRoute(ctx, sol, nil, req.Problem); routed {
+	if rep, routed, _, err := s.planAndRoute(ctx, sol, nil, req.Problem, req.Updatable); routed {
 		return rep, err
 	}
 	start := time.Now()
 	var rep *Report
-	if w, ok := sol.(Warmable); ok {
-		inst, err := s.instance(w, req.Problem, req.Updatable)
-		if err != nil {
-			return nil, err
-		}
-		rep, err = guardSolve(sol.Name(), func() (*Report, error) { return inst.Solve(ctx) })
-		if err != nil {
+	us, updatable := sol.(UpdatableSolver)
+	w, warmable := sol.(Warmable)
+	switch {
+	case req.Updatable && updatable:
+		rep, _, err = s.stepChain(ctx, us, nil, req.Problem)
+	case warmable:
+		var inst Instance
+		if inst, err = s.instance(w, req.Problem); err == nil {
+			rep, err = guardSolve(sol.Name(), func() (*Report, error) { return inst.Solve(ctx) })
 			if errors.Is(err, ErrSolverPanic) {
 				// The panic left the warm instance in an unknown state:
 				// drop it from the cache so the fingerprint's next solve
 				// builds cold instead of inheriting poisoned engines.
 				s.dropInstance(req.Problem.Fingerprint()+"|"+w.Name(), inst)
 			}
-			return nil, err
 		}
-		// A concurrent Update may have claimed this instance after the cache
-		// lookup and rebound it to the updated problem before (or right
-		// after) our solve ran.  The binding is published before the rebind,
-		// so a fingerprint mismatch here catches every interleaving in which
-		// the report could belong to the wrong problem; re-solve on a fresh
-		// uncached instance (the claim already removed this entry).
-		if b, ok := inst.(interface{ BoundFingerprint() string }); ok &&
-			b.BoundFingerprint() != req.Problem.Fingerprint() {
-			fresh, err := buildInstance(w, req.Problem, req.Updatable)
-			if err != nil {
-				return nil, err
-			}
-			rep, err = guardSolve(sol.Name(), func() (*Report, error) { return fresh.Solve(ctx) })
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
+	default:
 		rep, err = guardSolve(sol.Name(), func() (*Report, error) { return sol.Solve(ctx, req.Problem) })
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	rep.Solver = sol.Name()
 	if rep.WallTime == 0 {
@@ -509,17 +502,18 @@ func (s *Service) effectiveBudget(p *Problem) Budget {
 // request was handled here (sharded); monolithic decisions fall through to
 // the normal path with no report, and the decompose backend plans for itself.
 //
-// base is non-nil for Update steps: target is then base's capacity-only
-// derivative, and the sharded path claims the region oracle cached for base
-// — the warm per-region instances of the chain's previous step — instead of
-// building cold.  Plain solves (base == nil) claim their own fingerprint's
-// oracle, so repeated sharded solves of one problem are warm too.  warm
-// reports whether the solve ran on a claimed oracle; individual regions may
-// still have rebuilt cold inside it — a positivity flip in one region, or an
-// analog region whose quantized structure moved — and RegionColdRebuilds
-// counts those per region, so a warm step with one structural region is one
-// warm hit plus one cold rebuild, not a lost warm hit.
-func (s *Service) planAndRoute(ctx context.Context, sol Solver, base, target *Problem) (rep *Report, routed, warm bool, err error) {
+// base is non-nil for Update steps: target is then base's derivative, and the
+// sharded path takes the region oracle the chain table holds for base — the
+// warm per-region instances of the chain's previous step — instead of
+// building cold.  chain keeps the oracle as target's chain state once the
+// solve succeeds (Update steps and Request.Updatable solves); any other solve
+// runs on a fresh oracle and drops it.  warm reports whether the solve ran on
+// the chain's oracle; individual regions may still have rebuilt cold inside
+// it — a positivity flip in one region, or an analog region whose quantized
+// structure moved — and RegionColdRebuilds counts those per region, so a
+// warm step with one structural region is one warm hit plus one cold
+// rebuild, not a lost warm hit.
+func (s *Service) planAndRoute(ctx context.Context, sol Solver, base, target *Problem, chain bool) (rep *Report, routed, warm bool, err error) {
 	b := s.effectiveBudget(target)
 	if b.IsZero() {
 		return nil, false, false, nil
@@ -527,9 +521,8 @@ func (s *Service) planAndRoute(ctx context.Context, sol Solver, base, target *Pr
 	if ds, ok := sol.(*decomposeSolver); ok {
 		// The decompose backend shards by design; what the service adds is
 		// the budget a budget-less problem would otherwise miss.  Its region
-		// oracle is the exact solver — stateless, so there is nothing for
-		// the oracle cache to keep warm — and the solve runs in-call under
-		// the request's own slot.
+		// oracle is the exact solver — stateless, so there is no chain state
+		// to keep — and the solve runs in-call under the request's own slot.
 		if !target.Budget().IsZero() {
 			return nil, false, false, nil // the backend reads the problem's budget itself
 		}
@@ -555,22 +548,15 @@ func (s *Service) planAndRoute(ctx context.Context, sol Solver, base, target *Pr
 		return nil, false, false, nil
 	}
 	s.sharded.Add(1)
+	// Take the chain's region oracle out of the table: this goroutine owns
+	// the per-region instances outright until it stores them back under
+	// target, so no other solve can run on them meanwhile.
+	var oracle *regionOracle
 	if base != nil {
 		s.shardedUpd.Add(1)
+		oracle = s.chains.take(base, sol.Name()).oracle
 	}
-	// Claim the chain's warm region oracle: the base problem's for an
-	// update step, the target's own for a repeated solve.  claim removes
-	// the entry, so this goroutine owns the per-region instances outright —
-	// racers (concurrent updates branching off one base, or a solve racing
-	// an update) find the cache empty and run cold, which is why no
-	// binding guard is needed here: an oracle is never shared between two
-	// in-flight solves.
-	claimKey := oracleKey(target.Fingerprint(), sol, b)
-	if base != nil {
-		claimKey = oracleKey(base.Fingerprint(), sol, b)
-	}
-	oracle := s.oracles.claim(claimKey)
-	claimed := oracle != nil
+	warm = oracle != nil
 	if oracle == nil {
 		oracle = newRegionOracle(sol, target.Params())
 	}
@@ -585,14 +571,11 @@ func (s *Service) planAndRoute(ctx context.Context, sol Solver, base, target *Pr
 	s.releaseSlot()
 	defer s.reacquireSlot()
 	rep, err = solvePlanned(ctx, sol, target, plan, part, s.workers, s.slotBound, oracle)
-	rebuilds := oracle.takeRebuilds()
-	s.regionRebuilds.Add(int64(rebuilds))
+	s.regionRebuilds.Add(int64(oracle.takeRebuilds()))
 	if err != nil {
 		// A failed (or aborted) sharded solve leaves the oracle's region
-		// problems somewhere between base and target, so it answers for
-		// neither fingerprint; drop it rather than re-publish a poisoned
-		// entry.  The per-region instances have already dropped any state an
-		// aborted solve corrupted (cpuInstance/Session poisoning contract).
+		// problems somewhere between base and target; it is dropped, and
+		// the chain's next step runs cold.
 		return nil, true, false, err
 	}
 	// Consensus accounting: the plan records what the outer loop actually did
@@ -608,16 +591,17 @@ func (s *Service) planAndRoute(ctx context.Context, sol Solver, base, target *Pr
 			s.consensusEsc.Add(1)
 		}
 	}
-	// Re-publish under the fingerprint the oracle now answers for.  A
-	// structural step (positivity flip inside a region, a flipped boundary
+	// A structural step (positivity flip inside a region, a flipped boundary
 	// wiring) rebuilt the affected regions cold during the solve, so the
-	// oracle is usable again by construction — never a poisoned cache entry —
-	// and the chain continues warm from the next step.
-	s.oracles.publish(oracleKey(target.Fingerprint(), sol, b), oracle)
-	if base != nil && claimed {
+	// oracle is usable again by construction and the chain continues warm
+	// from the next step.
+	if chain {
+		s.chains.put(target, sol.Name(), chainState{oracle: oracle})
+	}
+	if warm {
 		s.shardedUpdWarm.Add(1)
 	}
-	return rep, true, claimed, nil
+	return rep, true, warm, nil
 }
 
 // releaseSlot hands the caller's worker slot back during a nested fan-out.
@@ -666,12 +650,11 @@ func (s *Service) dropInstance(key string, inst Instance) {
 	s.mu.Unlock()
 }
 
-// Release drops the warm state the service holds for (p, solver): the flat
-// warm instance cached under the problem's fingerprint and, when a budget
-// applies, the sharded region oracle cached for the chain.  It exists for
-// session deletion and eviction — a closed or expired session must not pin
-// warm engines against the cache bounds forever.  Unknown solvers and
-// uncached fingerprints are no-ops.
+// Release drops the warm state of the update chain whose current problem is
+// p — a flat instance or a sharded region oracle.  It exists for session
+// deletion and eviction: a closed or expired session must not pin warm
+// engines against the table's bound.  Unknown solvers and problems that hold
+// no chain state are no-ops.
 func (s *Service) Release(p *Problem, solver string) {
 	if p == nil {
 		return
@@ -680,21 +663,12 @@ func (s *Service) Release(p *Problem, solver string) {
 	if err != nil {
 		return
 	}
-	s.mu.Lock()
-	delete(s.cache, p.Fingerprint()+"|"+sol.Name())
-	s.mu.Unlock()
-	if b := s.effectiveBudget(p); !b.IsZero() {
-		// claim removes the entry; dropping the returned oracle (if any)
-		// releases its per-region instances.
-		s.oracles.claim(oracleKey(p.Fingerprint(), sol, b))
-	}
+	s.chains.take(p, sol.Name())
 }
 
-// instance returns the warm instance for the (problem, solver) pair,
-// creating and caching it on first use.  updatable selects the
-// update-absorbing construction for a fresh instance (no effect on a cache
-// hit).
-func (s *Service) instance(w Warmable, p *Problem, updatable bool) (Instance, error) {
+// instance returns the one-shot warm instance for the (problem, solver)
+// pair, creating and caching it on first use.
+func (s *Service) instance(w Warmable, p *Problem) (Instance, error) {
 	key := p.Fingerprint() + "|" + w.Name()
 	s.mu.Lock()
 	e, ok := s.cache[key]
@@ -713,7 +687,7 @@ func (s *Service) instance(w Warmable, p *Problem, updatable bool) (Instance, er
 	}
 
 	e.once.Do(func() {
-		e.inst, e.err = buildInstance(w, p, updatable)
+		e.inst, e.err = w.NewInstance(p)
 		e.ready.Store(true)
 	})
 	if e.err != nil {
@@ -843,12 +817,13 @@ type UpdateResult struct {
 	// Problem is the updated problem — pass it as the next UpdateRequest's
 	// Problem to continue the chain.
 	Problem *Problem
-	// Warm reports whether warm state absorbed the update: for flat chains,
-	// a warm instance updated in place (false on the first step of a chain,
-	// after a structural change, and for backends without warm state); for
-	// sharded chains, the chain's cached region oracle was claimed and
-	// rebound — individual regions may still have rebuilt cold on a
-	// structural change (Stats.RegionColdRebuilds counts those).
+	// Warm reports whether the chain's warm state absorbed the update: for
+	// flat chains, its instance updated in place (false when the chain holds
+	// no state — it did not start with an Updatable solve, or its state was
+	// evicted or dropped after an error — after a structural change, and for
+	// backends without warm state); for sharded chains, the chain's region
+	// oracle was rebound — individual regions may still have rebuilt cold on
+	// a structural change (Stats.RegionColdRebuilds counts those).
 	Warm bool
 	// Structural reports whether the step carried a topology component, and
 	// SlackRemaining how many parked slots the updated problem still holds —
@@ -859,29 +834,31 @@ type UpdateResult struct {
 }
 
 // Update is the stateful sibling of Solve: it derives the updated problem
-// (Problem.WithUpdate), routes it to the warm instance the cache holds for
-// the base problem when one exists and can absorb the mutation — the analog
-// backends re-stamp clamp values into their frozen circuit pattern and
-// re-solve from the previous operating point, the CPU backends drain/extend
-// their residual network and re-augment — and falls back to building a fresh
-// update-capable instance otherwise.  Either way the instance ends up cached
-// under the updated problem's fingerprint, so chains of updates stay warm.
+// (Problem.WithUpdate), takes the warm state the chain table holds for the
+// base problem and, when it can absorb the mutation, updates it in place —
+// the analog backends re-stamp clamp values into their frozen circuit pattern
+// and re-solve from the previous operating point, the CPU backends
+// drain/extend their residual network and re-augment — and falls back to
+// building a fresh update-capable instance otherwise.  Once the solve
+// succeeds the state is stored under the updated problem, so chains of
+// updates stay warm; a failed step drops it.
 //
-// Claiming the warm instance moves it: the base problem's cache entry is
-// re-keyed to the updated problem, and concurrent updates branching off the
-// same base race for the warm state — one wins, the rest build cold (their
-// reports agree to solver tolerance; exactly for the deterministic CPU
-// backends).  Like Solve, the call waits for a free service-wide worker slot.
+// A chain starts at a Solve with Request.Updatable and continues through
+// UpdateResult.Problem.  Taking the state moves it: concurrent updates
+// branching off the same base race for it — one wins, the rest build cold
+// (their reports agree to solver tolerance; exactly for the deterministic
+// CPU backends).  Like Solve, the call waits for a free service-wide worker
+// slot.
 //
 // A chain whose problems exceed the effective substrate budget runs sharded
 // and follows the same discipline one level up: the whole region oracle —
-// one warm instance per region — is claimed from the oracle cache, rebound
-// region by region, and re-published under the new fingerprint (see
-// planAndRoute).  For the CPU backends a warm sharded step may recover a
-// different — equally optimal — per-region flow than a cold one, which can
-// steer the consensus iteration down a different path: warm and cold sharded
-// reports agree to the decomposition tolerance, not bit-for-bit (the
-// behavioral backend, being deterministic warm or cold, does agree exactly).
+// one warm instance per region — is taken, rebound region by region, and
+// stored under the new problem (see planAndRoute).  For the CPU backends a
+// warm sharded step may recover a different — equally optimal — per-region
+// flow than a cold one, which can steer the consensus iteration down a
+// different path: warm and cold sharded reports agree to the decomposition
+// tolerance, not bit-for-bit (the behavioral backend, being deterministic
+// warm or cold, does agree exactly).
 func (s *Service) Update(ctx context.Context, req UpdateRequest) (*UpdateResult, error) {
 	s.requests.Add(1)
 	s.updates.Add(1)
@@ -927,15 +904,15 @@ func (s *Service) update(ctx context.Context, req UpdateRequest) (*UpdateResult,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// An oversized chain stays sharded — and stays warm: the planner claims
-	// the region oracle cached for the base problem's fingerprint, each
-	// region absorbs its share of the capacity delta through the same
+	// An oversized chain stays sharded — and stays warm: the planner takes
+	// the region oracle the chain holds for the base problem, each region
+	// absorbs its share of the capacity delta through the same
 	// WithUpdate/UpdatableInstance.Update path flat chains use, and the
-	// oracle is re-published under the updated fingerprint for the next
-	// step.  Structural steps (a capacity crossing zero inside a region)
-	// rebuild only the affected regions cold — counted in
-	// Stats.RegionColdRebuilds — and the rest of the oracle stays warm.
-	if rep, routed, warm, err := s.planAndRoute(ctx, sol, req.Problem, target); routed {
+	// oracle is stored under the updated problem for the next step.
+	// Structural steps (a capacity crossing zero inside a region) rebuild
+	// only the affected regions cold — counted in Stats.RegionColdRebuilds —
+	// and the rest of the oracle stays warm.
+	if rep, routed, warm, err := s.planAndRoute(ctx, sol, req.Problem, target, true); routed {
 		if err != nil {
 			return nil, err
 		}
@@ -943,55 +920,17 @@ func (s *Service) update(ctx context.Context, req UpdateRequest) (*UpdateResult,
 			Structural: structural, SlackRemaining: target.StructuralSlack()}, nil
 	}
 	start := time.Now()
-	w, warmable := sol.(Warmable)
-	if !warmable {
-		// Backends without per-problem state (lp, decompose) just solve the
-		// updated problem.
-		rep, err := guardSolve(sol.Name(), func() (*Report, error) { return sol.Solve(ctx, target) })
-		if err != nil {
-			return nil, err
-		}
-		rep.Solver = sol.Name()
-		if rep.WallTime == 0 {
-			rep.WallTime = time.Since(start)
-		}
-		return &UpdateResult{Report: rep, Problem: target,
-			Structural: structural, SlackRemaining: target.StructuralSlack()}, nil
+	var rep *Report
+	warm := false
+	if us, ok := sol.(UpdatableSolver); ok {
+		rep, warm, err = s.stepChain(ctx, us, req.Problem, target)
+	} else {
+		// Backends without update-absorbing state (lp, decompose) just
+		// solve the updated problem.
+		rep, err = guardSolve(sol.Name(), func() (*Report, error) { return sol.Solve(ctx, target) })
 	}
-	inst, warm, err := s.updateInstance(w, req.Problem, target)
 	if err != nil {
 		return nil, err
-	}
-	rep, err := guardSolve(sol.Name(), func() (*Report, error) { return inst.Solve(ctx) })
-	if err != nil {
-		if errors.Is(err, ErrSolverPanic) {
-			// updateInstance published this instance under the target
-			// fingerprint; a panic mid-solve poisons it, so drop that entry
-			// and let the chain's next touch rebuild cold.
-			s.dropInstance(target.Fingerprint()+"|"+w.Name(), inst)
-		}
-		return nil, err
-	}
-	// Same guard as Service.solve: the instance is published under the
-	// target fingerprint before this solve runs, so an identical-chain
-	// Update branching off the target may already have claimed and rebound
-	// it.  On a binding mismatch, re-solve the target on a fresh instance.
-	if b, ok := inst.(interface{ BoundFingerprint() string }); ok &&
-		b.BoundFingerprint() != target.Fingerprint() {
-		fresh, err := buildInstance(w, target, true)
-		if err != nil {
-			return nil, err
-		}
-		warm = false
-		rep, err = guardSolve(sol.Name(), func() (*Report, error) { return fresh.Solve(ctx) })
-		if err != nil {
-			return nil, err
-		}
-	}
-	if warm {
-		// Counted only after the binding guard, so the stat never claims a
-		// warm hit for a step that fell back to a cold re-solve.
-		s.updatesWarm.Add(1)
 	}
 	rep.Solver = sol.Name()
 	if rep.WallTime == 0 {
@@ -1001,42 +940,41 @@ func (s *Service) update(ctx context.Context, req UpdateRequest) (*UpdateResult,
 		Structural: structural, SlackRemaining: target.StructuralSlack()}, nil
 }
 
-// updateInstance routes an update to the warm instance cached for the base
-// problem, or builds a fresh update-capable instance for the target.
-func (s *Service) updateInstance(w Warmable, base, target *Problem) (Instance, bool, error) {
-	baseKey := base.Fingerprint() + "|" + w.Name()
-	targetKey := target.Fingerprint() + "|" + w.Name()
-
-	// Claim the base entry: removing it from the map makes this goroutine
-	// the instance's only owner for the in-place mutation.
-	s.mu.Lock()
-	e := s.cache[baseKey]
-	var claimed *cacheEntry
-	if e != nil && e.ready.Load() && e.err == nil {
-		if _, ok := e.inst.(UpdatableInstance); ok {
-			delete(s.cache, baseKey)
-			claimed = e
-		}
+// stepChain runs one step of a flat chain: it brings the chain's instance
+// from base to target (a chain start passes a nil base, which holds none),
+// solves, and stores the instance as target's chain state once the solve
+// succeeded.  A failed solve, a panic included, drops the instance with this
+// goroutine's reference to it: nothing else holds it.
+func (s *Service) stepChain(ctx context.Context, us UpdatableSolver, base, target *Problem) (*Report, bool, error) {
+	inst, warm, err := s.updateInstance(us, base, target)
+	if err != nil {
+		return nil, false, err
 	}
-	s.mu.Unlock()
+	rep, err := guardSolve(us.Name(), func() (*Report, error) { return inst.Solve(ctx) })
+	if err != nil {
+		return nil, false, err
+	}
+	s.chains.put(target, us.Name(), chainState{inst: inst})
+	if warm {
+		s.updatesWarm.Add(1)
+	}
+	return rep, warm, nil
+}
 
-	if claimed != nil {
-		err := guardErr(w.Name(), func() error { return claimed.inst.(UpdatableInstance).Update(target) })
+// updateInstance takes the chain's warm instance for the base problem and
+// updates it to the target, or builds a fresh update-capable instance for
+// the target when the chain holds none or its instance cannot absorb the
+// step.
+func (s *Service) updateInstance(us UpdatableSolver, base, target *Problem) (UpdatableInstance, bool, error) {
+	if inst := s.chains.take(base, us.Name()).inst; inst != nil {
+		err := guardErr(us.Name(), func() error { return inst.Update(target) })
 		if err == nil {
 			s.hits.Add(1)
-			s.putEntry(targetKey, claimed)
-			return claimed.inst, true, nil
+			return inst, true, nil
 		}
-		if errors.Is(err, ErrSolverPanic) {
-			// The panic may have left the instance half-mutated — valid for
-			// neither base nor target — so drop it instead of putting it
-			// back (the claim already removed it from the cache).
-			return nil, false, err
-		}
-		// The instance could not absorb the update, but it is still a valid
-		// warm instance for the base problem: put it back so base-problem
-		// solve traffic keeps its warm state.
-		s.putEntry(baseKey, claimed)
+		// Whatever failed, the taken instance is dropped: a panic may have
+		// left it half-mutated, and a structural change leaves it answering
+		// for the base problem, which the chain has moved past.
 		if !errors.Is(err, ErrIncompatibleUpdate) {
 			return nil, false, err
 		}
@@ -1045,41 +983,11 @@ func (s *Service) updateInstance(w Warmable, base, target *Problem) (Instance, b
 			// this is the one honest cold rebuild of the slack contract.
 			s.slackExhausted.Add(1)
 		}
-		// Structural change (or a non-updatable instance): fall through to a
-		// cold build for the target.
 	}
-
 	s.misses.Add(1)
-	inst, err := buildInstance(w, target, true)
+	inst, err := us.NewUpdatableInstance(target)
 	if err != nil {
 		return nil, false, err
 	}
-	ne := &cacheEntry{inst: inst}
-	ne.once.Do(func() {})
-	ne.ready.Store(true)
-	s.putEntry(targetKey, ne)
 	return inst, false, nil
-}
-
-// buildInstance constructs a warm instance for p, preferring the
-// update-absorbing construction when asked for and supported.
-func buildInstance(w Warmable, p *Problem, updatable bool) (Instance, error) {
-	if us, ok := w.(UpdatableSolver); ok && updatable {
-		return us.NewUpdatableInstance(p)
-	}
-	return w.NewInstance(p)
-}
-
-// putEntry inserts a pre-built entry under key, keeping an already-present
-// entry (two racers produced equivalent instances; first one wins, the loser
-// keeps solving its uncached instance).
-func (s *Service) putEntry(key string, e *cacheEntry) {
-	s.mu.Lock()
-	if _, exists := s.cache[key]; !exists {
-		s.cache[key] = e
-		s.evictLocked(e)
-	}
-	s.tick++
-	e.lastUse.Store(s.tick)
-	s.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package solve
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -73,26 +74,11 @@ func shardedChainStep(g *graph.Graph, edges []int, k int) graph.CapacityUpdate {
 	return u
 }
 
-// testOracle digs the single cached region oracle out of a service, for
-// engine-level assertions.
-func testOracle(t *testing.T, s *Service) *regionOracle {
-	t.Helper()
-	s.oracles.mu.Lock()
-	defer s.oracles.mu.Unlock()
-	if len(s.oracles.m) != 1 {
-		t.Fatalf("oracle cache holds %d entries, want exactly 1", len(s.oracles.m))
-	}
-	for _, slot := range s.oracles.m {
-		return slot.oracle
-	}
-	return nil
-}
-
 // TestShardedUpdateChainWarmFromStepOne is the acceptance pin of the warm
 // sharded-chain contract: an update chain over a problem above the budget
-// claims the region oracle the base solve published, absorbs every step as
+// takes the region oracle its starting solve kept, absorbs every step as
 // per-region capacity updates — warm from step 1, zero cold region rebuilds —
-// and keeps re-publishing the oracle so the whole chain stays warm.
+// and keeps storing the oracle back so the whole chain stays warm.
 func TestShardedUpdateChainWarmFromStepOne(t *testing.T) {
 	g := rmat.MustGenerate(rmat.SparseParams(200, 3))
 	budget := Budget{MaxVertices: 80}
@@ -101,7 +87,7 @@ func TestShardedUpdateChainWarmFromStepOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob})
+	rep, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob, Updatable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +133,7 @@ func TestShardedUpdateChainWarmFromStepOne(t *testing.T) {
 		t.Errorf("%d cold region rebuilds across a capacity-only chain, want 0", stats.RegionColdRebuilds)
 	}
 	if stats.CachedOracles != 1 {
-		t.Errorf("oracle cache population %d after the chain, want 1 (re-published per step)", stats.CachedOracles)
+		t.Errorf("%d region oracles held after the chain, want 1 (stored back per step)", stats.CachedOracles)
 	}
 }
 
@@ -155,7 +141,7 @@ func TestShardedUpdateChainWarmFromStepOne(t *testing.T) {
 // step that zeroes an edge inside one region flips that region's positivity,
 // so its warm instance cannot absorb the delta — exactly that one region must
 // be rebuilt cold (the delta is routed to the owning region, the others stay
-// warm), and the oracle must be re-published under the new fingerprint in its
+// warm), and the oracle must be stored back under the new problem in its
 // healed state so the chain continues warm right after the structural step.
 func TestShardedUpdateStructuralStepRepublishes(t *testing.T) {
 	g := rmat.MustGenerate(rmat.SparseParams(200, 3))
@@ -165,7 +151,7 @@ func TestShardedUpdateStructuralStepRepublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob}); err != nil {
+	if _, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob, Updatable: true}); err != nil {
 		t.Fatal(err)
 	}
 	_, part, err := planFor(prob, budget)
@@ -196,7 +182,7 @@ func TestShardedUpdateStructuralStepRepublishes(t *testing.T) {
 		t.Fatalf("structural step: %v", err)
 	}
 	if !res.Warm {
-		t.Error("structural step lost the claimed oracle entirely; only the owning region should go cold")
+		t.Error("structural step lost the chain's oracle entirely; only the owning region should go cold")
 	}
 	stats := svc.Stats()
 	if stats.RegionColdRebuilds != 1 {
@@ -204,7 +190,7 @@ func TestShardedUpdateStructuralStepRepublishes(t *testing.T) {
 			stats.RegionColdRebuilds)
 	}
 	if stats.CachedOracles != 1 {
-		t.Fatalf("oracle not re-published after the structural step (cache holds %d entries)", stats.CachedOracles)
+		t.Fatalf("oracle not stored back after the structural step (%d held)", stats.CachedOracles)
 	}
 	prob = res.Problem
 
@@ -228,7 +214,7 @@ func TestShardedUpdateStructuralStepRepublishes(t *testing.T) {
 		t.Errorf("cold rebuilds grew to %d after the structural step, want to stay at 1", final.RegionColdRebuilds)
 	}
 	if final.ShardedUpdateWarmHits != 4 {
-		t.Errorf("%d warm hits over 4 steps, want 4 (the structural step still rides the claimed oracle)",
+		t.Errorf("%d warm hits over 4 steps, want 4 (the structural step still rides the chain's oracle)",
 			final.ShardedUpdateWarmHits)
 	}
 }
@@ -251,7 +237,7 @@ func TestShardedUpdateBehavioralWarmMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Solve(context.Background(), Request{Solver: "behavioral", Problem: prob}); err != nil {
+	if _, err := svc.Solve(context.Background(), Request{Solver: "behavioral", Problem: prob, Updatable: true}); err != nil {
 		t.Fatal(err)
 	}
 	_, part, err := planFor(prob, budget)
@@ -312,7 +298,7 @@ func TestShardedUpdateChainZeroNewSymbolicFactorizations(t *testing.T) {
 	// terminals on both sides, the circuit-fragile configuration.
 	budget := Budget{MaxVertices: 9, MaxRegions: 2}
 	svc := NewService(Config{Workers: 1, Budget: budget})
-	rep, err := svc.Solve(context.Background(), Request{Solver: "circuit", Problem: prob})
+	rep, err := svc.Solve(context.Background(), Request{Solver: "circuit", Problem: prob, Updatable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +334,7 @@ func TestShardedUpdateChainZeroNewSymbolicFactorizations(t *testing.T) {
 	if got := svc.Stats().RegionColdRebuilds; got != 0 {
 		t.Errorf("%d cold region rebuilds across the circuit chain, want 0", got)
 	}
-	stats := testOracle(t, svc).engineStats()
+	stats := chainOracle(t, svc, prob, "circuit").engineStats()
 	if len(stats) == 0 {
 		t.Fatal("no region engines recorded")
 	}
@@ -375,7 +361,7 @@ func TestShardedOracleConcurrencyMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: base}); err != nil {
+	if _, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: base, Updatable: true}); err != nil {
 		t.Fatal(err)
 	}
 	_, part, err := planFor(base, Budget{MaxVertices: 80})
@@ -458,7 +444,7 @@ func TestShardedSerialVsConcurrentUpdateIdentity(t *testing.T) {
 	runOne := func(workers int) []float64 {
 		svc := NewService(Config{Workers: workers, Budget: budget})
 		prob := mustProblem(t, g, params)
-		if _, err := svc.Solve(context.Background(), Request{Solver: "behavioral", Problem: prob}); err != nil {
+		if _, err := svc.Solve(context.Background(), Request{Solver: "behavioral", Problem: prob, Updatable: true}); err != nil {
 			t.Fatal(err)
 		}
 		var out []float64
@@ -488,7 +474,7 @@ func TestShardedSerialVsConcurrentUpdateIdentity(t *testing.T) {
 	run := func(concurrent bool) [2][]float64 {
 		svc := NewService(Config{Workers: 4, Budget: budget})
 		base := mustProblem(t, g, params)
-		if _, err := svc.Solve(context.Background(), Request{Solver: "behavioral", Problem: base}); err != nil {
+		if _, err := svc.Solve(context.Background(), Request{Solver: "behavioral", Problem: base, Updatable: true}); err != nil {
 			t.Fatal(err)
 		}
 		var out [2][]float64
@@ -533,49 +519,11 @@ func TestShardedSerialVsConcurrentUpdateIdentity(t *testing.T) {
 	}
 }
 
-// TestOracleCacheSemantics covers the cache's ownership discipline directly:
-// claim removes, publish keeps the first entry on a key collision, and the
-// LRU bound evicts the stalest entry.
-func TestOracleCacheSemantics(t *testing.T) {
-	c := newOracleCache(2)
-	sol, err := DefaultRegistry().Get("dinic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, d := newRegionOracle(sol, core.DefaultParams()), newRegionOracle(sol, core.DefaultParams()), newRegionOracle(sol, core.DefaultParams())
-
-	c.publish("a", a)
-	if got := c.claim("a"); got != a {
-		t.Fatal("claim did not return the published oracle")
-	}
-	if got := c.claim("a"); got != nil {
-		t.Fatal("claim did not remove the entry")
-	}
-
-	c.publish("a", a)
-	c.publish("a", b)
-	if got := c.claim("a"); got != a {
-		t.Error("publish collision did not keep the first oracle")
-	}
-
-	c.publish("k1", a)
-	c.publish("k2", b)
-	c.publish("k3", d) // evicts k1, the least recently used
-	if c.size() != 2 {
-		t.Fatalf("cache size %d over bound 2", c.size())
-	}
-	if got := c.claim("k1"); got != nil {
-		t.Error("LRU entry not evicted")
-	}
-	if c.claim("k2") == nil || c.claim("k3") == nil {
-		t.Error("recently used entries evicted")
-	}
-}
-
-// TestShardedRepeatSolveReusesOracle: repeated sharded solves of one problem
-// claim and re-publish the same oracle — the circuit regions' engines show
-// exactly one symbolic factorization after two full solves.
-func TestShardedRepeatSolveReusesOracle(t *testing.T) {
+// TestShardedRepeatSolveIsCold: a one-shot sharded solve keeps no region
+// oracle, so a repeat runs cold again and reproduces the same report.  Only
+// a solve that starts a chain keeps the oracle — the circuit regions'
+// engines then show exactly the one symbolic factorization that solve paid.
+func TestShardedRepeatSolveIsCold(t *testing.T) {
 	const n = 12
 	g := graph.MustNew(n, 0, n-1)
 	for v := 0; v < n-1; v++ {
@@ -588,14 +536,26 @@ func TestShardedRepeatSolveReusesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewService(Config{Workers: 1, Budget: Budget{MaxVertices: 9, MaxRegions: 2}})
+	var reps []Report
 	for i := 0; i < 2; i++ {
-		if _, err := svc.Solve(context.Background(), Request{Solver: "circuit", Problem: prob}); err != nil {
+		rep, err := svc.Solve(context.Background(), Request{Solver: "circuit", Problem: prob})
+		if err != nil {
 			t.Fatalf("solve %d: %v", i, err)
 		}
+		reps = append(reps, rep.Normalized())
 	}
-	for r, st := range testOracle(t, svc).engineStats() {
+	if !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Errorf("repeated one-shot sharded solves differ:\n%+v\nvs\n%+v", reps[0], reps[1])
+	}
+	if got := svc.Stats().CachedOracles; got != 0 {
+		t.Errorf("one-shot sharded solves left %d region oracles behind", got)
+	}
+	if _, err := svc.Solve(context.Background(), Request{Solver: "circuit", Problem: prob, Updatable: true}); err != nil {
+		t.Fatal(err)
+	}
+	for r, st := range chainOracle(t, svc, prob, "circuit").engineStats() {
 		if st.Factorizations != 1 {
-			t.Errorf("region %d: %d symbolic factorizations after two sharded solves, want 1", r, st.Factorizations)
+			t.Errorf("region %d: %d symbolic factorizations after one sharded solve, want 1", r, st.Factorizations)
 		}
 	}
 }

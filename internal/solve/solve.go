@@ -59,7 +59,7 @@ type Instance interface {
 
 // Warmable is implemented by backends that benefit from per-problem state
 // reuse across repeated solves.  The batch service caches one Instance per
-// (problem fingerprint, solver) pair.
+// (problem fingerprint, solver) pair for one-shot solves.
 type Warmable interface {
 	Solver
 	NewInstance(p *Problem) (Instance, error)
@@ -84,7 +84,7 @@ var ErrSlackExhausted = fmt.Errorf("%w: structural slack exhausted", ErrIncompat
 // update in place, carrying its warm state (residual networks, circuits,
 // factorisations, previous operating points) over to the updated problem.
 // After a successful Update the instance answers Solve for the new problem;
-// the caller owns re-keying any cache.  A structural change fails with
+// the caller owns re-keying its chain state.  A structural change fails with
 // ErrIncompatibleUpdate and leaves the instance bound to its old problem.
 type UpdatableInstance interface {
 	Instance

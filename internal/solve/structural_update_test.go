@@ -241,7 +241,7 @@ func TestServiceStructuralRandomizedChurnMatchesCold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := svc.Solve(context.Background(), Request{Solver: backend, Problem: prob}); err != nil {
+				if _, err := svc.Solve(context.Background(), Request{Solver: backend, Problem: prob, Updatable: true}); err != nil {
 					t.Fatal(err)
 				}
 				sawWarm := false
@@ -303,7 +303,7 @@ func TestShardedStructuralStepRebuildsOwningRegionOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob})
+	rep, err := svc.Solve(context.Background(), Request{Solver: "dinic", Problem: prob, Updatable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestShardedStructuralStepRebuildsOwningRegionOnly(t *testing.T) {
 	}
 	prob = res.Problem
 
-	oracle := testOracle(t, svc)
+	oracle := chainOracle(t, svc, prob, "dinic")
 	regionInsts := func() map[int]Instance {
 		oracle.mu.Lock()
 		defer oracle.mu.Unlock()
@@ -363,7 +363,7 @@ func TestShardedStructuralStepRebuildsOwningRegionOnly(t *testing.T) {
 			t.Fatalf("structural step %d: %v", k, err)
 		}
 		if !res.Warm {
-			t.Errorf("structural step %d lost the claimed oracle; only the owning region should rebuild", k)
+			t.Errorf("structural step %d lost the chain's oracle; only the owning region should rebuild", k)
 		}
 		if !res.Structural {
 			t.Errorf("structural step %d not marked structural", k)
@@ -437,7 +437,7 @@ func TestServiceStructuralSlackExhaustionPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	prob = res.Problem
-	base, ok := cachedSession(t, svc, prob, "circuit").EngineStats()
+	base, ok := chainSession(t, svc, prob, "circuit").EngineStats()
 	if !ok {
 		t.Fatal("no engine after the first circuit update")
 	}
@@ -459,7 +459,7 @@ func TestServiceStructuralSlackExhaustionPin(t *testing.T) {
 		}
 		prob = res.Problem
 	}
-	after, ok := cachedSession(t, svc, prob, "circuit").EngineStats()
+	after, ok := chainSession(t, svc, prob, "circuit").EngineStats()
 	if !ok {
 		t.Fatal("warm chain lost its engine")
 	}
