@@ -437,7 +437,7 @@ func BenchmarkShardedUpdateResolve(b *testing.B) {
 						res.Report.FlowValue, cold.FlowValue, i, 100*gap)
 				}
 			}
-			if warm := svc.Stats().ShardedUpdateWarmHits; warm == 0 {
+			if warm, _ := svc.Metrics().Value("analogflow_sharded_update_warm_hits_total", nil); warm == 0 {
 				b.Fatal("sharded_update_warm_hits stayed 0 across the chain")
 			}
 			b.ReportMetric(float64(warmTotal.Nanoseconds())/float64(b.N), "warm-ns/step")

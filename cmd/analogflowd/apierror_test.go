@@ -248,7 +248,7 @@ func TestErrorEnvelopeTooManySessions(t *testing.T) {
 // the envelope with header/body Retry-After agreement.
 func TestErrorEnvelopeOverloaded(t *testing.T) {
 	gate := newGateBackend(0)
-	_, svc, ts := gatedServer(t, gate, serverConfig{}, solve.Config{Workers: 1, MaxQueue: 1})
+	_, ts := gatedServer(t, gate, serverConfig{}, solve.Config{Workers: 1, MaxQueue: 1})
 
 	var wg sync.WaitGroup
 	post := func() {
@@ -265,7 +265,7 @@ func TestErrorEnvelopeOverloaded(t *testing.T) {
 	wg.Add(1)
 	go post() // fills the bounded queue
 	deadline := time.Now().Add(10 * time.Second)
-	for svc.Stats().QueueDepth != 1 {
+	for queueDepth(t, ts.URL) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never filled")
 		}

@@ -68,18 +68,17 @@ func (b *gateBackend) waitStarted(t *testing.T) {
 
 // gatedServer builds a server over a single-worker service whose sole
 // backend is the gate solver.
-func gatedServer(t *testing.T, gate *gateBackend, cfg serverConfig, svcCfg solve.Config) (*server, *solve.Service, *httptest.Server) {
+func gatedServer(t *testing.T, gate *gateBackend, cfg serverConfig, svcCfg solve.Config) (*server, *httptest.Server) {
 	t.Helper()
 	reg := solve.NewRegistry()
 	if err := reg.Register(gate); err != nil {
 		t.Fatal(err)
 	}
 	svcCfg.Registry = reg
-	svc := solve.NewService(svcCfg)
-	srv := newServer(svc, cfg)
+	srv := newServer(solve.NewService(svcCfg), cfg)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
-	return srv, svc, ts
+	return srv, ts
 }
 
 // decodeLines parses an NDJSON stream into its records.
@@ -108,7 +107,7 @@ func decodeLines(t *testing.T, r io.Reader) []map[string]any {
 // flips 503 while /v1/healthz stays 200.
 func TestDrainStreamFinishesCurrentRecordAndRefusesNew(t *testing.T) {
 	gate := newGateBackend(0)
-	srv, _, ts := gatedServer(t, gate, serverConfig{}, solve.Config{Workers: 1})
+	srv, ts := gatedServer(t, gate, serverConfig{}, solve.Config{Workers: 1})
 
 	type streamOut struct {
 		lines []map[string]any
@@ -198,7 +197,7 @@ func TestDrainStreamFinishesCurrentRecordAndRefusesNew(t *testing.T) {
 // {"draining":true,"count":applied} line, so no acknowledged step is lost.
 func TestDrainSessionUpdateEmitsTerminalRecord(t *testing.T) {
 	gate := newGateBackend(2) // call 1 = session create; call 2 = first update step
-	srv, _, ts := gatedServer(t, gate, serverConfig{}, solve.Config{Workers: 1})
+	srv, ts := gatedServer(t, gate, serverConfig{}, solve.Config{Workers: 1})
 
 	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"solver":"gate","problem":%s}`, figure5Inline)))
@@ -284,16 +283,16 @@ func TestSessionTTLEvictionFreesWarmState(t *testing.T) {
 	if created["last_used"] == nil || created["expires_at"] == nil {
 		t.Errorf("create response lacks lifecycle stamps: %v", created)
 	}
-	if got := svc.Stats().CachedInstances; got != 1 {
-		t.Fatalf("session holds %d warm instances, want 1", got)
+	if got := scrapeSeries(t, ts.URL, "analogflow_cached_instances"); got != 1 {
+		t.Fatalf("session holds %v warm instances, want 1", got)
 	}
 
 	// Deterministic sweep: pretend a minute has passed.
 	if n := srv.evictExpired(time.Now().Add(time.Minute)); n != 1 {
 		t.Fatalf("evictExpired removed %d sessions, want 1", n)
 	}
-	if got := svc.Stats().CachedInstances; got != 0 {
-		t.Errorf("eviction left %d warm instances cached", got)
+	if got := scrapeSeries(t, ts.URL, "analogflow_cached_instances"); got != 0 {
+		t.Errorf("eviction left %v warm instances cached", got)
 	}
 	resp, err = http.Post(ts.URL+"/v1/sessions/"+id+"/update", "application/json",
 		strings.NewReader(`{"updates":[{"edge":0,"capacity":5}]}`))
@@ -368,10 +367,10 @@ func TestSessionCapErrorNamesOldestIdle(t *testing.T) {
 // TestShedSolve429WithRetryAfter pins the HTTP overload mapping: with one
 // worker pinned and the admission queue full, a single-problem solve is shed
 // as a clean 429 with a Retry-After header — no 200 stream, no worker slot —
-// and the shed shows up in /v1/healthz.
+// and the shed shows up in /v1/metrics.
 func TestShedSolve429WithRetryAfter(t *testing.T) {
 	gate := newGateBackend(0)
-	_, svc, ts := gatedServer(t, gate, serverConfig{}, solve.Config{Workers: 1, MaxQueue: 1})
+	_, ts := gatedServer(t, gate, serverConfig{}, solve.Config{Workers: 1, MaxQueue: 1})
 
 	var wg sync.WaitGroup
 	post := func() {
@@ -389,7 +388,7 @@ func TestShedSolve429WithRetryAfter(t *testing.T) {
 	wg.Add(1)
 	go post() // fills the bounded queue
 	deadline := time.Now().Add(10 * time.Second)
-	for svc.Stats().QueueDepth != 1 {
+	for queueDepth(t, ts.URL) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never filled")
 		}
@@ -423,12 +422,8 @@ func TestShedSolve429WithRetryAfter(t *testing.T) {
 
 	close(gate.release)
 	wg.Wait()
-	var fleet struct {
-		Stats solve.Stats `json:"stats"`
-	}
-	getStats(t, ts.URL, &fleet)
-	if fleet.Stats.ShedRequests < 1 {
-		t.Errorf("stats shed_requests = %d, want >= 1", fleet.Stats.ShedRequests)
+	if got := scrapeSeries(t, ts.URL, "analogflow_shed_requests_total"); got < 1 {
+		t.Errorf("shed_requests = %v, want >= 1", got)
 	}
 }
 

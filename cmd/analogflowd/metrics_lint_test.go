@@ -9,9 +9,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -126,6 +128,26 @@ func scrapeMetrics(t *testing.T, url string) (string, map[string]float64, map[st
 	return body, samples, types
 }
 
+// scrapeSeries scrapes /v1/metrics and returns one series, named with its
+// label block; a missing series fails the test.
+func scrapeSeries(t *testing.T, url, series string) float64 {
+	t.Helper()
+	_, samples, _ := scrapeMetrics(t, url)
+	v, ok := samples[series]
+	if !ok {
+		t.Fatalf("/v1/metrics lacks %s", series)
+	}
+	return v
+}
+
+// queueDepth scrapes the admission queue's sheddable waiters: the priority
+// and normal lanes (urgent waiters are never shed).
+func queueDepth(t *testing.T, url string) float64 {
+	t.Helper()
+	_, samples, _ := scrapeMetrics(t, url)
+	return samples[`analogflow_queue_depth{lane="priority"}`] + samples[`analogflow_queue_depth{lane="normal"}`]
+}
+
 // TestMetricsExpositionLint is the CI metrics-lint gate.
 func TestMetricsExpositionLint(t *testing.T) {
 	svc := solve.NewService(solve.Config{Workers: 2})
@@ -235,49 +257,160 @@ func drainBody(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// TestStatsEndpointShape pins the /v1/stats fleet aggregate: workers,
-// queues, cache, sessions, per-backend windows, and the raw counter dump
-// all present and self-consistent.
+// TestStatsEndpointShape pins the /v1/stats fleet aggregate to the metrics
+// registry.  After one-shot dinic and behavioral batches, a flat session with
+// a capacity and a structural step, and a budget-sharded session step, the
+// body holds exactly the documented fields, and every scalar in it equals
+// its /v1/metrics series: the workers, queue, cache and session gauges, and
+// each backend's EMA, observation count and histogram quantiles.  The
+// throughput meter decays while the endpoints are read, so its value must
+// lie between the scrapes taken before and after the /v1/stats read.  CI
+// runs this test in the metrics-lint step.
 func TestStatsEndpointShape(t *testing.T) {
 	srv := newTestServer(t, 2)
-	_, _ = postSolve(t, srv, fmt.Sprintf(`{"solver":"dinic","problems":[%s]}`, figure5Inline))
+	for _, solver := range []string{"dinic", "behavioral"} {
+		_, _ = postSolve(t, srv, fmt.Sprintf(`{"solver":%q,"problems":[%s,%s]}`, solver, figure5Inline, figure5Inline))
+	}
+	stream := func(path, body string) map[string]any {
+		t.Helper()
+		resp := postJSON(t, srv.URL+path, body)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		recs := decodeLines(t, resp.Body)
+		for _, rec := range recs {
+			if rec["error"] != nil {
+				t.Fatalf("%s: record %v", path, rec)
+			}
+		}
+		return recs[0]
+	}
+	flat := stream("/v1/sessions", fmt.Sprintf(`{"solver":"dinic","problem":%s}`, figure5Inline))
+	stream("/v1/sessions/"+flat["session_id"].(string)+"/update",
+		`{"steps":[[{"edge":1,"capacity":3}],{"remove_edges":[2]}]}`)
+	sharded := stream("/v1/sessions", `{"solver":"dinic","problem":{"rmat":{"vertices":200,"sparse":true,"seed":3}},"budget":{"max_vertices":80}}`)
+	stream("/v1/sessions/"+sharded["session_id"].(string)+"/update", `{"updates":[{"edge":5,"capacity":9}]}`)
 
-	resp, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	_, before, _ := scrapeMetrics(t, srv.URL)
 	var out struct {
-		Version  string       `json:"version"`
-		Uptime   float64      `json:"uptime_seconds"`
-		Workers  statsWorkers `json:"workers"`
-		Cache    statsCache   `json:"cache"`
-		Sessions struct {
-			Live int `json:"live"`
-		} `json:"sessions"`
+		Version  string                         `json:"version"`
+		Uptime   float64                        `json:"uptime_seconds"`
+		Draining bool                           `json:"draining"`
+		Workers  statsWorkers                   `json:"workers"`
+		Cache    statsCache                     `json:"cache"`
+		Sessions statsSessions                  `json:"sessions"`
 		Backends map[string]solve.BackendWindow `json:"backends"`
-		Stats    solve.Stats                    `json:"stats"`
+		RPS      float64                        `json:"throughput_rps"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	var body json.RawMessage
+	getStats(t, srv.URL, &body)
+	_, after, _ := scrapeMetrics(t, srv.URL)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
 		t.Fatal(err)
 	}
-	if out.Version != serverVersion {
-		t.Errorf("version %q, want %q", out.Version, serverVersion)
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
 	}
-	if out.Workers.Total < 1 || out.Workers.Free != out.Workers.Total-out.Workers.Busy {
+	var keys []string
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, ","), "backends,cache,draining,sessions,throughput_rps,uptime_seconds,version,workers"; got != want {
+		t.Errorf("/v1/stats fields %s, want %s", got, want)
+	}
+	if out.Version != serverVersion || out.Uptime <= 0 {
+		t.Errorf("version %q, uptime %v; want %q and a positive uptime", out.Version, out.Uptime, serverVersion)
+	}
+	// The traffic above moved every block, so the agreement below is not
+	// a comparison of zeros.
+	if out.Workers.Total != 2 || out.Cache.Instances < 1 || out.Cache.Oracles != 1 ||
+		out.Cache.InstanceHitRatio <= 0 || out.Sessions.Live != 2 || len(out.Backends) != 2 {
+		t.Errorf("traffic did not register: workers %+v, cache %+v, sessions %+v, %d backends",
+			out.Workers, out.Cache, out.Sessions, len(out.Backends))
+	}
+
+	scalars := map[string]float64{
+		"analogflow_workers_effective":                float64(out.Workers.Total),
+		"analogflow_workers_busy":                     float64(out.Workers.Busy),
+		`analogflow_queue_depth{lane="urgent"}`:       float64(out.Workers.Queue.Urgent),
+		`analogflow_queue_depth{lane="priority"}`:     float64(out.Workers.Queue.Priority),
+		`analogflow_queue_depth{lane="normal"}`:       float64(out.Workers.Queue.Normal),
+		"analogflow_cached_instances":                 float64(out.Cache.Instances),
+		"analogflow_cached_oracles":                   float64(out.Cache.Oracles),
+		`analogflow_warm_hit_ratio{cache="instance"}`: out.Cache.InstanceHitRatio,
+		"analogflow_sessions_live":                    float64(out.Sessions.Live),
+		"analogflow_expired_sessions_total":           float64(out.Sessions.Expired),
+		"analogflow_client_disconnects_total":         float64(out.Sessions.ClientDisconnects),
+		"analogflow_server_draining":                  map[bool]float64{false: 0, true: 1}[out.Draining],
+	}
+	for name, w := range out.Backends {
+		label := fmt.Sprintf(`{backend=%q}`, name)
+		scalars["analogflow_backend_latency_ema_milliseconds"+label] = w.EMAms
+		scalars["analogflow_request_duration_seconds_count"+label] = float64(w.Observations)
+		for q, got := range map[float64]float64{0.5: w.P50ms, 0.99: w.P99ms} {
+			if want := 1000 * scrapedQuantile(t, before, "analogflow_request_duration_seconds", name, q); got != want {
+				t.Errorf("backends.%s: q%v %v ms, histogram series give %v ms", name, q, got, want)
+			}
+		}
+	}
+	for series, got := range scalars {
+		want, ok := before[series]
+		if !ok {
+			t.Errorf("/v1/metrics lacks %s", series)
+		} else if got != want || after[series] != want {
+			t.Errorf("/v1/stats reads %v for %s; /v1/metrics reads %v before and %v after", got, series, want, after[series])
+		}
+	}
+	if rps, hi, lo := out.RPS, before["analogflow_throughput_rps"], after["analogflow_throughput_rps"]; rps > hi || rps < lo || rps <= 0 {
+		t.Errorf("throughput_rps %v outside the scrapes' [%v, %v]", rps, lo, hi)
+	}
+	if out.Workers.Free != out.Workers.Total-out.Workers.Busy {
 		t.Errorf("worker block inconsistent: %+v", out.Workers)
 	}
-	if out.Workers.Total != 2 {
-		t.Errorf("worker total %d, want the configured 2", out.Workers.Total)
+}
+
+// scrapedQuantile is metrics.Histogram.Quantile computed from one backend's
+// scraped histogram buckets, in the histogram's unit.
+func scrapedQuantile(t *testing.T, samples map[string]float64, family, backend string, q float64) float64 {
+	t.Helper()
+	type bucket struct{ le, cum float64 }
+	var buckets []bucket
+	prefix := fmt.Sprintf(`%s_bucket{backend=%q,le="`, family, backend)
+	for series, cum := range samples {
+		if rest, ok := strings.CutPrefix(series, prefix); ok {
+			le, err := strconv.ParseFloat(strings.TrimSuffix(rest, `"}`), 64)
+			if err != nil {
+				t.Fatalf("bucket %s: %v", series, err)
+			}
+			buckets = append(buckets, bucket{le, cum})
+		}
 	}
-	win, ok := out.Backends["dinic"]
-	if !ok {
-		t.Fatalf("stats backends %v lack dinic", out.Backends)
+	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
+	if len(buckets) < 2 || !math.IsInf(buckets[len(buckets)-1].le, 1) {
+		t.Fatalf("%s{backend=%q} has no +Inf-terminated buckets", family, backend)
 	}
-	if win.Observations < 1 || win.EMAms < 0 || win.P99ms < win.P50ms {
-		t.Errorf("dinic window implausible: %+v", win)
+	top := buckets[len(buckets)-2].le // the largest finite bound
+	rank := q * buckets[len(buckets)-1].cum
+	var cum float64
+	for i, b := range buckets {
+		n := b.cum - cum
+		if n == 0 {
+			continue
+		}
+		if cum+n >= rank {
+			if math.IsInf(b.le, 1) {
+				return top
+			}
+			lo := 0.0
+			if i > 0 {
+				lo = buckets[i-1].le
+			}
+			return lo + (b.le-lo)*math.Min(math.Max((rank-cum)/n, 0), 1)
+		}
+		cum += n
 	}
-	if out.Stats.Requests < 1 || out.Stats.Completed < 1 {
-		t.Errorf("raw counter dump did not move: %+v", out.Stats)
-	}
+	return top
 }

@@ -496,11 +496,14 @@ func specSize(spec problemSpec) (vertices, edges int, err error) {
 		if spec.RMAT.Vertices > maxVertices {
 			return 0, 0, fmt.Errorf("rmat vertices %d exceeds the limit of %d", spec.RMAT.Vertices, maxVertices)
 		}
+		// The generator may add rmat.MaxPathEdges edges past the preset's
+		// count to ensure an s-t path; the declaration is an upper bound.
 		p := spec.RMAT.params()
-		if p.Edges > maxRMATEdges {
-			return 0, 0, fmt.Errorf("rmat spec expands to %d edges, exceeding the limit of %d", p.Edges, maxRMATEdges)
+		edges := p.Edges + rmat.MaxPathEdges
+		if edges > maxRMATEdges {
+			return 0, 0, fmt.Errorf("rmat spec expands to %d edges, exceeding the limit of %d", edges, maxRMATEdges)
 		}
-		return p.Vertices, p.Edges, nil
+		return p.Vertices, edges, nil
 	case spec.Grid != nil:
 		w, h := spec.Grid.Width, spec.Grid.Height
 		if w < 1 || h < 1 {

@@ -181,13 +181,11 @@ func TestHealthzEndpoint(t *testing.T) {
 	if _, ok := slim["stats"]; ok {
 		t.Errorf("slim healthz still carries the counter dump: %v", slim)
 	}
-	// The counters live in /v1/stats.
-	var out struct {
-		Stats solve.Stats `json:"stats"`
-	}
-	getStats(t, srv.URL, &out)
-	if out.Stats.Requests < 1 || out.Stats.Completed < 1 {
-		t.Errorf("counters did not move: %+v", out.Stats)
+	// The counters live in /v1/metrics.
+	_, samples, _ := scrapeMetrics(t, srv.URL)
+	if samples["analogflow_requests_total"] < 1 || samples["analogflow_completed_total"] < 1 {
+		t.Errorf("counters did not move: %v requests, %v completed",
+			samples["analogflow_requests_total"], samples["analogflow_completed_total"])
 	}
 }
 
@@ -592,15 +590,12 @@ func TestSessionStructuralSteps(t *testing.T) {
 		t.Errorf("capacity step record %v unexpectedly marked structural", steps[2])
 	}
 
-	var fleet struct {
-		Stats map[string]any `json:"stats"`
+	_, samples, _ := scrapeMetrics(t, srv.URL)
+	if got := samples["analogflow_structural_updates_total"]; got != 2 {
+		t.Errorf("structural_updates = %v, want 2", got)
 	}
-	getStats(t, srv.URL, &fleet)
-	if fleet.Stats["structural_updates"] != 2.0 {
-		t.Errorf("stats structural_updates = %v, want 2", fleet.Stats["structural_updates"])
-	}
-	if _, ok := fleet.Stats["slack_exhausted_rebuilds"]; !ok {
-		t.Errorf("stats lacks slack_exhausted_rebuilds: %v", fleet.Stats)
+	if _, ok := samples["analogflow_slack_exhausted_rebuilds_total"]; !ok {
+		t.Error("metrics lack analogflow_slack_exhausted_rebuilds_total")
 	}
 }
 
@@ -673,23 +668,18 @@ func TestSessionShardedChainStaysWarm(t *testing.T) {
 		t.Fatalf("streamed %d steps, want 2", steps)
 	}
 
-	var fleet struct {
-		Stats solve.Stats `json:"stats"`
+	_, samples, _ := scrapeMetrics(t, srv.URL)
+	if upd, warm := samples["analogflow_sharded_updates_total"], samples["analogflow_sharded_update_warm_hits_total"]; upd != 2 || warm != 2 {
+		t.Errorf("sharded-update counters %v/%v warm, want 2/2", upd, warm)
 	}
-	getStats(t, srv.URL, &fleet)
-	if fleet.Stats.ShardedUpdates != 2 || fleet.Stats.ShardedUpdateWarmHits != 2 {
-		t.Errorf("stats sharded-update counters %d/%d warm, want 2/2",
-			fleet.Stats.ShardedUpdates, fleet.Stats.ShardedUpdateWarmHits)
+	if got := samples["analogflow_cached_oracles"]; got != 1 {
+		t.Errorf("cached_oracles %v, want 1", got)
 	}
-	if fleet.Stats.CachedOracles != 1 {
-		t.Errorf("stats cached_oracles %d, want 1", fleet.Stats.CachedOracles)
+	if got := samples["analogflow_consensus_warm_starts_total"]; got < 1 {
+		t.Errorf("consensus_warm_starts %v, want >= 1 (the chain carries consensus state)", got)
 	}
-	if fleet.Stats.ConsensusWarmStarts < 1 {
-		t.Errorf("stats consensus_warm_starts %d, want >= 1 (the chain carries consensus state)",
-			fleet.Stats.ConsensusWarmStarts)
-	}
-	if fleet.Stats.AvgOuterIterations <= 0 {
-		t.Errorf("stats avg_outer_iterations %g, want > 0", fleet.Stats.AvgOuterIterations)
+	if iters, runs := samples["analogflow_consensus_outer_iterations_total"], samples["analogflow_consensus_outer_runs_total"]; runs == 0 || iters/runs <= 0 {
+		t.Errorf("consensus outer iterations %v over %v runs, want a positive average", iters, runs)
 	}
 }
 
@@ -1009,13 +999,10 @@ func TestSolveWithBudgetShardsAndReportsPlan(t *testing.T) {
 		t.Errorf("sharded flow %v vs exact %v beyond tolerance", flow, exact)
 	}
 
-	// Planner stats are visible through /v1/stats.
-	var fleet struct {
-		Stats solve.Stats `json:"stats"`
-	}
-	getStats(t, srv.URL, &fleet)
-	if fleet.Stats.PlannedSolves != 1 || fleet.Stats.ShardedSolves != 1 {
-		t.Errorf("stats planner stats %+v, want 1 planned / 1 sharded", fleet.Stats)
+	// Planner counters are visible through /v1/metrics.
+	_, samples, _ := scrapeMetrics(t, srv.URL)
+	if planned, sharded := samples["analogflow_planned_solves_total"], samples["analogflow_sharded_solves_total"]; planned != 1 || sharded != 1 {
+		t.Errorf("planner counters %v planned / %v sharded, want 1 / 1", planned, sharded)
 	}
 }
 

@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"analogflow/internal/graph"
+	"analogflow/internal/rmat"
 	"analogflow/internal/solve"
 )
 
@@ -15,10 +17,6 @@ const (
 	fuzzMaxVertices = 4096
 	fuzzMaxEdges    = 1 << 16
 )
-
-// rmatPathEdges is how many edges past its declared count an R-MAT instance
-// may carry: the s-t path the generator ensures has at most five arcs.
-const rmatPathEdges = 5
 
 // FuzzProblemSpec drives one problem spec through the request boundary the
 // way the handlers do: strict JSON decoding, the declared-size check, and —
@@ -42,14 +40,32 @@ func FuzzProblemSpec(f *testing.F) {
 			return
 		}
 		g := p.Graph()
-		if spec.RMAT != nil {
-			edges += rmatPathEdges
-		}
 		if g.NumVertices() != vertices || g.NumEdges() > edges {
 			t.Fatalf("spec declared %d vertices and %d edges, built %d and %d",
 				vertices, edges, g.NumVertices(), g.NumEdges())
 		}
 	})
+}
+
+// TestSpecSizeCountsRMATPathEdges pins the R-MAT declaration to an upper
+// bound: specSize declares the preset's edges plus the rmat.MaxPathEdges the
+// generator may add for an s-t path.  A batch whose declared edges reach the
+// aggregate budget exactly without those path edges is therefore refused
+// before anything is built.  (No accepted vertex count lets one R-MAT preset
+// reach the per-problem edge cap, so the budget is the cap in reach.)
+func TestSpecSizeCountsRMATPathEdges(t *testing.T) {
+	r := &rmatSpec{Vertices: 2, Sparse: true, Seed: 1}
+	if _, edges, err := specSize(problemSpec{RMAT: r}); err != nil || edges != r.params().Edges+rmat.MaxPathEdges {
+		t.Fatalf("specSize declares %d edges (%v), want the preset's %d plus %d",
+			edges, err, r.params().Edges, rmat.MaxPathEdges)
+	}
+	// A bare problem line declares the rest of the budget.
+	dimacs := fmt.Sprintf("p max 2 %d\n", maxBatchEdges-r.params().Edges)
+	srv := newServer(solve.NewService(solve.Config{Workers: 1}), serverConfig{})
+	_, err := srv.buildProblems([]problemSpec{{DIMACS: dimacs}, {RMAT: r}, {RMAT: r}}, nil)
+	if err == nil || !strings.Contains(err.Error(), "aggregate size budget") || !strings.Contains(err.Error(), "at problem 2") {
+		t.Fatalf("batch at the edge budget: %v, want the aggregate budget refusal at problem 2", err)
+	}
 }
 
 // FuzzStepSpec drives one session step through both wire forms — the bare

@@ -47,44 +47,39 @@ type statsSessions struct {
 }
 
 // handleStats serves the fleet-style JSON aggregate: the operator view a
-// router or autoscaler polls — workers, queues, caches, sessions,
-// per-backend latency windows — plus the full raw counter snapshot under
-// "stats".
+// router or autoscaler polls — workers, queues, caches, sessions and
+// per-backend latency windows.  Every scalar is read from the metrics
+// registry, so it equals its /v1/metrics series; the raw counters are those
+// series.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := s.svc.Stats()
-	s.mu.Lock()
-	live := len(s.sessions)
-	s.mu.Unlock()
-	var hitRatio float64
-	if total := stats.CacheHits + stats.CacheMisses; total > 0 {
-		hitRatio = float64(stats.CacheHits) / float64(total)
+	m := s.svc.Metrics()
+	read := func(name string, labels metrics.Labels) float64 {
+		v, _ := m.Value(name, labels)
+		return v
 	}
+	lane := func(name string) int { return int(read("analogflow_queue_depth", metrics.Labels{"lane": name})) }
+	total, busy := int(read("analogflow_workers_effective", nil)), int(read("analogflow_workers_busy", nil))
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"version":        serverVersion,
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"draining":       s.draining.Load(),
 		"workers": statsWorkers{
-			Total: stats.EffectiveWorkers,
-			Busy:  stats.BusyWorkers,
-			Free:  stats.EffectiveWorkers - stats.BusyWorkers,
-			Queue: statsQueue{
-				Urgent:   stats.LaneDepths.Urgent,
-				Priority: stats.LaneDepths.Priority,
-				Normal:   stats.LaneDepths.Normal,
-			},
+			Total: total,
+			Busy:  busy,
+			Free:  total - busy,
+			Queue: statsQueue{Urgent: lane("urgent"), Priority: lane("priority"), Normal: lane("normal")},
 		},
 		"cache": statsCache{
-			Instances:        stats.CachedInstances,
-			Oracles:          stats.CachedOracles,
-			InstanceHitRatio: hitRatio,
+			Instances:        int(read("analogflow_cached_instances", nil)),
+			Oracles:          int(read("analogflow_cached_oracles", nil)),
+			InstanceHitRatio: read("analogflow_warm_hit_ratio", metrics.Labels{"cache": "instance"}),
 		},
 		"sessions": statsSessions{
-			Live:              live,
-			Expired:           s.expired.Value(),
-			ClientDisconnects: s.disconnects.Value(),
+			Live:              int(read("analogflow_sessions_live", nil)),
+			Expired:           int64(read("analogflow_expired_sessions_total", nil)),
+			ClientDisconnects: int64(read("analogflow_client_disconnects_total", nil)),
 		},
-		"backends":       stats.BackendWindows,
-		"throughput_rps": stats.ThroughputRPS,
-		"stats":          stats,
+		"backends":       s.svc.BackendWindows(),
+		"throughput_rps": read("analogflow_throughput_rps", nil),
 	})
 }

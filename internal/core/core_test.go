@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -398,5 +399,42 @@ func TestBehavioralInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExactMemo pins the memo's contract: a cancelled computation leaves it
+// empty, the first value recorded wins, and Prepare gives each bundle a
+// private memo while PrepareWithCore shares the one it is handed.
+func TestExactMemo(t *testing.T) {
+	g := graph.PaperFigure5()
+	var m ExactMemo
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.Value(cancelled, g); err == nil || m.Done() {
+		t.Fatalf("cancelled computation: err %v, done %v; want an error and an empty memo", err, m.Done())
+	}
+	if v, err := m.Value(context.Background(), g); err != nil || v != graph.PaperFigure5MaxFlow || !m.Done() {
+		t.Fatalf("Value = %v, %v (done %v); want %v", v, err, m.Done(), graph.PaperFigure5MaxFlow)
+	}
+	m.Seed(-1)
+	if v, _ := m.Value(context.Background(), g); v != graph.PaperFigure5MaxFlow {
+		t.Fatalf("a later seed replaced the value: %v", v)
+	}
+
+	var shared ExactMemo
+	shared.Seed(42) // a value Dinic would never give here: proves who reads it
+	a, err := PrepareWithCore(g, nil, &shared, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := Prepare(g, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := a.ExactValue(context.Background()); v != 42 {
+		t.Errorf("bundle over the shared memo reads %v, want the seeded 42", v)
+	}
+	if v, _ := private.ExactValue(context.Background()); v != graph.PaperFigure5MaxFlow {
+		t.Errorf("private bundle reads %v, want %v", v, graph.PaperFigure5MaxFlow)
 	}
 }

@@ -235,21 +235,18 @@ func (sess *Session) rebindValueLocked(prep *Prepared) error {
 	return nil
 }
 
-// ensureReferenceLocked keeps the warm exact-reference memo of an updatable
+// ensureReferenceLocked keeps the warm exact reference of an updatable
 // session: the first call builds the residual network of the s-t core and
 // solves it; after a Rebind the same network only re-augments.  Either way
-// the resulting exact value seeds the Prepared memo, so finalize never runs
-// a cold reference solve.  Callers hold sess.mu.
+// the resulting exact value seeds the instance's memo, so finalize never
+// runs a cold reference solve.  Callers hold sess.mu.
 func (sess *Session) ensureReferenceLocked(ctx context.Context) error {
 	prep := sess.prep
 	if prep.core == nil || prep.core.NumEdges() == 0 {
 		return nil
 	}
 	if sess.refNet == nil {
-		prep.exactMu.Lock()
-		done := prep.exactDone
-		prep.exactMu.Unlock()
-		if done {
+		if prep.exact.Done() {
 			// Someone already paid for the reference (a cold Dinic through
 			// the memo); building a warm network now would duplicate it.
 			// The next Rebind starts the warm network from the new core.
@@ -268,7 +265,7 @@ func (sess *Session) ensureReferenceLocked(ctx context.Context) error {
 		sess.refNet = nil
 		return err
 	}
-	prep.SeedExactValue(f.Value)
+	prep.exact.Seed(f.Value)
 	return nil
 }
 

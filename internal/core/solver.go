@@ -140,11 +140,9 @@ type Prepared struct {
 	work     *graph.Graph       // the graph actually mapped onto the substrate
 	clamps   []float64          // clamp voltage per work edge
 
-	// exact memoises the instance's exact maximum flow (one Dinic run on
-	// the s-t core, shared by every solve and every mode of this instance).
-	exactMu   sync.Mutex
-	exactDone bool
-	exact     float64
+	// exact is the instance's exact-value memo: the owning problem's when
+	// the solve layer built the bundle, a private one otherwise.
+	exact *ExactMemo
 }
 
 // Original returns the graph the instance was prepared from.
@@ -166,33 +164,60 @@ func (p *Prepared) Quantization() *quantize.Result { return p.qres }
 // after preprocessing).
 func (p *Prepared) Empty() bool { return p == nil || p.work == nil || p.work.NumEdges() == 0 }
 
-// ExactValue returns the exact maximum flow of the instance, computed once
-// with Dinic's algorithm on the s-t core (which preserves the max-flow value
-// by construction) and memoised for every later solve, mode and session that
-// shares this Prepared.  A cancelled computation is not memoised.
+// ExactValue returns the exact maximum flow of the instance from its memo
+// (see ExactMemo), computing it on first use.
 func (p *Prepared) ExactValue(ctx context.Context) (float64, error) {
-	p.exactMu.Lock()
-	defer p.exactMu.Unlock()
-	if p.exactDone {
-		return p.exact, nil
+	return p.exact.Value(ctx, p.core)
+}
+
+// ExactMemo memoises one instance's exact maximum flow: a Dinic solve of its
+// s-t core, run at most once, or a value seeded by a caller that computed it
+// anyway.  The zero value is empty and ready to use.  A cancelled
+// computation is not memoised, so a later call with a live context retries.
+//
+// internal/solve keeps one memo per problem and hands it to the Prepared
+// bundle it builds, so the CPU backends, the analog finalize step and an
+// updatable session's warm reference network all read and fill one value.
+type ExactMemo struct {
+	mu    sync.Mutex
+	done  bool
+	value float64
+}
+
+// Value returns the memoised exact value, computing it with Dinic on core
+// when the memo is empty.  core must be the instance's s-t core (the graph
+// itself when pruning is off), which has the same max-flow value as the
+// original by construction; every call passes the same graph.
+func (m *ExactMemo) Value(ctx context.Context, core *graph.Graph) (float64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done {
+		return m.value, nil
 	}
-	v, err := maxflow.OptimalValueContext(ctx, p.core)
+	v, err := maxflow.OptimalValueContext(ctx, core)
 	if err != nil {
 		return 0, err
 	}
-	p.exact, p.exactDone = v, true
+	m.value, m.done = v, true
 	return v, nil
 }
 
-// SeedExactValue records an externally computed exact maximum flow (e.g. a
-// caller that just ran Dinic on the instance anyway), so the memo never has
-// to re-derive it.  A value recorded first wins; later seeds are ignored.
-func (p *Prepared) SeedExactValue(v float64) {
-	p.exactMu.Lock()
-	defer p.exactMu.Unlock()
-	if !p.exactDone {
-		p.exact, p.exactDone = v, true
+// Seed records an exact value the caller already holds: a Dinic solve of
+// the same core, bit-identical to what Value would compute.  The first value
+// recorded wins; later seeds are ignored.
+func (m *ExactMemo) Seed(v float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.done {
+		m.value, m.done = v, true
 	}
+}
+
+// Done reports whether the memo already holds a value.
+func (m *ExactMemo) Done() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.done
 }
 
 // StructurallyCompatible reports whether q describes the same instance
@@ -312,24 +337,25 @@ func (p *Prepared) expandFlow(f *graph.Flow) *graph.Flow {
 
 // prepare runs pruning and quantization with the solver's parameters.
 func (s *Solver) prepare(g *graph.Graph) (*Prepared, error) {
-	return prepareWith(g, nil, s.params.PruneGraph, s.params.Quantization)
+	return prepareWith(g, nil, nil, s.params.PruneGraph, s.params.Quantization)
 }
 
 // Prepare runs the preprocessing front half (prune to the s-t core, quantize,
 // fused re-prune) under the given parameters without solving.  The result is
 // reusable across solver modes and across repeated solves: only PruneGraph
-// and Quantization influence it.
+// and Quantization influence it.  It carries a private exact-value memo.
 func Prepare(g *graph.Graph, p Params) (*Prepared, error) {
-	return PrepareWithCore(g, nil, p)
+	return PrepareWithCore(g, nil, nil, p)
 }
 
 // PrepareWithCore is Prepare with an externally computed s-t-core prune of g
-// (from graph.PruneToSTCore).  Passing a precomputed prune lets a caller that
-// already reduced the instance — the staged pipeline of internal/solve —
-// share that artifact instead of re-pruning; pr1 is ignored when the
-// parameters disable pruning, and computed on demand when they enable it and
-// pr1 is nil.
-func PrepareWithCore(g *graph.Graph, pr1 *graph.PruneResult, p Params) (*Prepared, error) {
+// (from graph.PruneToSTCore) and the instance's exact-value memo.  Passing
+// them lets a caller that already reduced the instance — the staged pipeline
+// of internal/solve — share both, so the prune and the reference solve each
+// run once per instance.  pr1 is ignored when the parameters disable
+// pruning, and computed on demand when they enable it and pr1 is nil; a nil
+// exact gives the bundle a private memo.
+func PrepareWithCore(g *graph.Graph, pr1 *graph.PruneResult, exact *ExactMemo, p Params) (*Prepared, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
@@ -341,12 +367,15 @@ func PrepareWithCore(g *graph.Graph, pr1 *graph.PruneResult, p Params) (*Prepare
 	} else if pr1 == nil {
 		pr1 = graph.PruneToSTCore(g)
 	}
-	return prepareWith(g, pr1, p.PruneGraph, p.Quantization)
+	return prepareWith(g, pr1, exact, p.PruneGraph, p.Quantization)
 }
 
 // prepareWith runs pruning (reusing pr1 when supplied) and quantization.
-func prepareWith(g *graph.Graph, pr1 *graph.PruneResult, prune bool, scheme quantize.Scheme) (*Prepared, error) {
-	p := &Prepared{original: g}
+func prepareWith(g *graph.Graph, pr1 *graph.PruneResult, exact *ExactMemo, prune bool, scheme quantize.Scheme) (*Prepared, error) {
+	if exact == nil {
+		exact = new(ExactMemo)
+	}
+	p := &Prepared{original: g, exact: exact}
 	coreGraph := g
 	if prune {
 		if pr1 == nil {
@@ -388,7 +417,7 @@ func (s *Solver) finalize(ctx context.Context, res *Result, prep *Prepared, work
 	// The s-t core has the same max-flow value as the original instance by
 	// construction (pruning only removes structures that cannot carry s-t
 	// flow), so the reference solve runs on the smaller graph — and only
-	// once per Prepared, however many solves share it.
+	// once per memo, however many solves and bundles share it.
 	exact, err := prep.ExactValue(ctx)
 	if err != nil {
 		return err

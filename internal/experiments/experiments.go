@@ -757,7 +757,7 @@ func dynamicShedRow(base *graph.Graph, steps int) ([]string, error) {
 	// the loop builds its next problem without a slot, and a request landing
 	// in that gap would be admitted instead of shed.
 	waitBusy := func() error {
-		for start := time.Now(); svc.Stats().InFlight == 0; runtime.Gosched() {
+		for start := time.Now(); seriesValue(svc, "analogflow_in_flight_solves") == 0; runtime.Gosched() {
 			if time.Since(start) > 10*time.Second {
 				return fmt.Errorf("experiments: background load never occupied the worker")
 			}
@@ -795,8 +795,8 @@ func dynamicShedRow(base *graph.Graph, steps int) ([]string, error) {
 	if shed == 0 {
 		return nil, fmt.Errorf("experiments: no request of the burst was shed; the admission queue never engaged")
 	}
-	if got := svc.Stats().ShedRequests; got != int64(shed) {
-		return nil, fmt.Errorf("experiments: shed_requests counter %d, but %d callers saw ErrOverloaded", got, shed)
+	if got := seriesValue(svc, "analogflow_shed_requests_total"); got != float64(shed) {
+		return nil, fmt.Errorf("experiments: shed_requests counter %v, but %d callers saw ErrOverloaded", got, shed)
 	}
 	// Degradation, not denial: with the deadline dropped, the same request
 	// queues and completes once the worker frees up.
@@ -995,7 +995,7 @@ func StructuralDynamics(size, steps int, seed int64) (*Table, error) {
 			warm.String(),
 			cold.String(),
 			fmt.Sprintf("%.1fx", float64(cold)/float64(warm)),
-			fmt.Sprintf("%d", svc.Stats().StructuralUpdates),
+			fmt.Sprint(seriesValue(svc, "analogflow_structural_updates_total")),
 			fmt.Sprintf("%v", agree),
 		})
 		if !agree {
@@ -1140,6 +1140,12 @@ func DynamicUpdateStep(g *graph.Graph, k int) graph.CapacityUpdate {
 		upd.Capacities = append(upd.Capacities, c)
 	}
 	return upd
+}
+
+// seriesValue reads one unlabelled series of the service's metrics registry.
+func seriesValue(svc *solve.Service, name string) float64 {
+	v, _ := svc.Metrics().Value(name, nil)
+	return v
 }
 
 // medianDuration returns the median of a non-empty duration slice.

@@ -308,26 +308,65 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 	return s.h
 }
 
+// Value reads one counter, gauge or gauge-function series without
+// registering anything.  ok is false for an unknown series and for
+// histograms.
+func (r *Registry) Value(name string, labels Labels) (v float64, ok bool) {
+	key := labelKey(labels)
+	var s series
+	r.mu.Lock()
+	if f := r.families[name]; f != nil {
+		if found := f.find(key); found != nil {
+			s, ok = *found, true
+		}
+	}
+	r.mu.Unlock()
+	switch {
+	case !ok:
+		return 0, false
+	case s.c != nil:
+		return float64(s.c.Value()), true
+	case s.g != nil:
+		return s.g.Value(), true
+	case s.gf != nil:
+		return s.gf(), true
+	}
+	return 0, false
+}
+
 // TextContentType is the Content-Type for WriteText output.
 const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WriteText renders every family in registration order in the Prometheus
-// text exposition format (version 0.0.4) and returns the rendered bytes.
+// text exposition format (version 0.0.4).  The families' series, gauge
+// functions included, are copied under the lock and rendered outside it, so
+// a registration running meanwhile (which appends to and re-sorts a
+// family's series, or replaces a gauge function) never races the render.
 func (r *Registry) WriteText(sb *strings.Builder) {
+	type snapshot struct {
+		f      *family
+		series []series
+	}
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]snapshot, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		snap := snapshot{f: f, series: make([]series, len(f.series))}
+		for i, s := range f.series {
+			snap.series[i] = *s
+		}
+		fams = append(fams, snap)
 	}
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].order < fams[j].order })
+	sort.Slice(fams, func(i, j int) bool { return fams[i].f.order < fams[j].f.order })
 
-	for _, f := range fams {
+	for _, snap := range fams {
+		f := snap.f
 		if f.help != "" {
 			fmt.Fprintf(sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(sb, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.series {
+		for i := range snap.series {
+			s := &snap.series[i]
 			switch f.kind {
 			case kindCounter:
 				fmt.Fprintf(sb, "%s%s %d\n", f.name, s.key, s.c.Value())

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -212,5 +213,69 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if h.Count() != 8000 {
 		t.Errorf("histogram count = %d, want 8000", h.Count())
+	}
+}
+
+// TestRenderRacesRegistration renders the registry while another goroutine
+// registers new labelled series into the families being rendered and
+// re-registers a gauge function — the shape of a /v1/metrics scrape landing
+// on the first request of a new backend.  Run under -race.
+func TestRenderRacesRegistration(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("race_total", "Labelled counters.", Labels{"i": "seed"}).Inc()
+	r.GaugeFunc("race_fn", "A re-registered gauge function.", nil, func() float64 { return 0 })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			r.Counter("race_total", "Labelled counters.", Labels{"i": fmt.Sprint(i)}).Inc()
+			v := float64(i)
+			r.GaugeFunc("race_fn", "A re-registered gauge function.", nil, func() float64 { return v })
+		}
+	}()
+	for rendering := true; rendering; {
+		select {
+		case <-done:
+			rendering = false
+		default:
+		}
+		_ = r.Render()
+		_, _ = r.Value("race_fn", nil)
+	}
+	if n := strings.Count(r.Render(), "\nrace_total{"); n != 201 {
+		t.Fatalf("rendered %d race_total series, want 201", n)
+	}
+}
+
+// TestValue reads each instrument kind back through Registry.Value, and
+// checks that reading registers nothing.
+func TestValue(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("v_total", "c", Labels{"op": "solve"}).Add(7)
+	r.Gauge("v_gauge", "g", nil).Set(-2.5)
+	r.GaugeFunc("v_fn", "f", Labels{"lane": "normal"}, func() float64 { return 4.25 })
+	r.Histogram("v_seconds", "h", nil, []float64{1}).Observe(0.5)
+	before := r.Render()
+	for _, tc := range []struct {
+		name   string
+		labels Labels
+		want   float64
+		ok     bool
+	}{
+		{"v_total", Labels{"op": "solve"}, 7, true},
+		{"v_gauge", nil, -2.5, true},
+		{"v_fn", Labels{"lane": "normal"}, 4.25, true},
+		{"v_total", nil, 0, false},                    // known family, unknown labels
+		{"v_total", Labels{"op": "update"}, 0, false}, // known family, other label value
+		{"v_missing_total", nil, 0, false},            // unknown family
+		{"v_seconds", nil, 0, false},                  // histograms have no single value
+	} {
+		got, ok := r.Value(tc.name, tc.labels)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("Value(%s, %v) = %v, %v; want %v, %v", tc.name, tc.labels, got, ok, tc.want, tc.ok)
+		}
+	}
+	if after := r.Render(); after != before {
+		t.Errorf("Value changed the exposition:\n%s\n---\n%s", before, after)
 	}
 }

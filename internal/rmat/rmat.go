@@ -258,6 +258,11 @@ func (s *pairSet) insert(key uint64) bool {
 	}
 }
 
+// MaxPathEdges bounds the edges Generate adds beyond Params.Edges when it
+// ensures a source-to-sink path (Params.EnsurePath): at most
+// MaxPathEdges-1 hops through existing vertices plus the link into the sink.
+const MaxPathEdges = 5
+
 // addRandomPath threads a random source-to-sink path through existing
 // vertices so that the instance has a nonzero max-flow.
 func addRandomPath(g *graph.Graph, rng *rand.Rand, p Params) {
@@ -267,7 +272,7 @@ func addRandomPath(g *graph.Graph, rng *rand.Rand, p Params) {
 		minCap = 1
 	}
 	draw := func() float64 { return float64(minCap + rng.Intn(p.MaxCapacity-minCap+1)) }
-	hops := 2 + rng.Intn(3)
+	hops := 2 + rng.Intn(MaxPathEdges-2) // 2 to MaxPathEdges-1 hops
 	if hops > n-2 {
 		hops = n - 2
 	}

@@ -219,13 +219,6 @@ func (a *admitter) remove(lane int, w *waiter) bool {
 	return false
 }
 
-// queueDepth reports the current sheddable-waiter count (for stats).
-func (a *admitter) queueDepth() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.queued
-}
-
 // laneDepths reports the waiter count per lane (urgent waiters included).
 func (a *admitter) laneDepths() [numLanes]int {
 	a.mu.Lock()

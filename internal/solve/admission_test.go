@@ -108,9 +108,9 @@ func occupy(t *testing.T, svc *Service, gate *gateSolver, prob *Problem, n int) 
 func waitQueueDepth(t *testing.T, svc *Service, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.adm.queueDepth() != want {
+	for queueDepth(t, svc) != float64(want) {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue depth never reached %d (at %d)", want, svc.adm.queueDepth())
+			t.Fatalf("queue depth never reached %d (at %v)", want, queueDepth(t, svc))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -128,7 +128,7 @@ func TestShedDeadlineUnmeetable(t *testing.T) {
 
 	// Prime the estimator: the backend "typically" takes an hour, so any
 	// millisecond-scale deadline is hopeless once the slot is taken.
-	svc.ema.observe("block", time.Hour)
+	svc.ema.observeOp("block", "solve", time.Hour)
 	callsBefore := gate.calls.Load()
 	_, err := svc.Solve(context.Background(), Request{
 		Solver:   "block",
@@ -154,8 +154,8 @@ func TestShedDeadlineUnmeetable(t *testing.T) {
 	if got := gate.calls.Load(); got != callsBefore {
 		t.Errorf("shed request reached the solver (%d calls, was %d)", got, callsBefore)
 	}
-	if st := svc.Stats(); st.ShedRequests != 1 {
-		t.Errorf("shed_requests = %d, want 1 (%+v)", st.ShedRequests, st)
+	if got := MetricValue(t, svc, "analogflow_shed_requests_total"); got != 1 {
+		t.Errorf("shed_requests = %v, want 1", got)
 	}
 	done()
 	// The service keeps serving after shedding: a no-deadline request runs.
@@ -189,14 +189,14 @@ func TestShedQueueFull(t *testing.T) {
 	if !errors.As(err, &ovl) || ovl.Reason != "queue full" {
 		t.Fatalf("want queue-full OverloadError, got %v", err)
 	}
-	if st := svc.Stats(); st.ShedRequests != 1 || st.QueueDepth != 1 {
-		t.Errorf("stats after shed: shed=%d depth=%d, want 1/1", st.ShedRequests, st.QueueDepth)
+	if shed, depth := MetricValue(t, svc, "analogflow_shed_requests_total"), queueDepth(t, svc); shed != 1 || depth != 1 {
+		t.Errorf("stats after shed: shed=%v depth=%v, want 1/1", shed, depth)
 	}
 	done()
 	wg.Wait()
 	// The queued request drained the queue and released its slot.
-	if st := svc.Stats(); st.QueueDepth != 0 || st.InFlight != 0 {
-		t.Errorf("stats after drain: %+v", st)
+	if depth, inFlight := queueDepth(t, svc), MetricValue(t, svc, "analogflow_in_flight_solves"); depth != 0 || inFlight != 0 {
+		t.Errorf("stats after drain: queue depth %v, in flight %v", depth, inFlight)
 	}
 }
 
@@ -264,7 +264,7 @@ func TestShedAdmitWorkerBound(t *testing.T) {
 	}
 	svc := NewService(Config{Registry: reg, Workers: workers, MaxQueue: 4})
 	// A realistic EMA makes some tight deadlines shed and loose ones queue.
-	svc.ema.observe("gauge", 5*time.Millisecond)
+	svc.ema.observeOp("gauge", "solve", 5*time.Millisecond)
 	prob := figure5Problem(t, core.DefaultParams())
 	base, err := NewProblem(graph.PaperFigure5())
 	if err != nil {
@@ -316,12 +316,11 @@ func TestShedAdmitWorkerBound(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Error("no request ever succeeded under load")
 	}
-	st := svc.Stats()
-	if st.ShedRequests != shed.Load() {
-		t.Errorf("shed_requests=%d but %d callers saw ErrOverloaded", st.ShedRequests, shed.Load())
+	if got := MetricValue(t, svc, "analogflow_shed_requests_total"); got != float64(shed.Load()) {
+		t.Errorf("shed_requests=%v but %d callers saw ErrOverloaded", got, shed.Load())
 	}
-	if st.InFlight != 0 || st.QueueDepth != 0 {
-		t.Errorf("service not quiescent after storm: %+v", st)
+	if inFlight, depth := MetricValue(t, svc, "analogflow_in_flight_solves"), queueDepth(t, svc); inFlight != 0 || depth != 0 {
+		t.Errorf("service not quiescent after storm: in flight %v, queue depth %v", inFlight, depth)
 	}
 }
 
@@ -350,7 +349,8 @@ func TestDrainSolveBatchSkipsPendingItems(t *testing.T) {
 			}
 		}
 	}, stopped.Load)
-	statsAfter := svc.Stats()
+	requestsAfter := MetricValue(t, svc, "analogflow_requests_total")
+	errorsAfter := MetricValue(t, svc, "analogflow_errors_total")
 	var okN, stoppedN int
 	for _, r := range results {
 		switch {
@@ -366,8 +366,8 @@ func TestDrainSolveBatchSkipsPendingItems(t *testing.T) {
 		t.Fatalf("got %d ok / %d stopped, want 2/3", okN, stoppedN)
 	}
 	// Stopped items never became service requests, errors or solver calls.
-	if statsAfter.Requests != 2 || statsAfter.Errors != 0 {
-		t.Errorf("stopped items leaked into counters: %+v", statsAfter)
+	if requestsAfter != 2 || errorsAfter != 0 {
+		t.Errorf("stopped items leaked into counters: %v requests, %v errors", requestsAfter, errorsAfter)
 	}
 	rec.mu.Lock()
 	calls := len(rec.order)

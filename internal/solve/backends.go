@@ -258,7 +258,7 @@ func (i *cpuInstance) Solve(ctx context.Context) (*Report, error) {
 		// A Dinic solve of the core is bit-identical to the reference
 		// computation the memo would run, so seed it instead of solving
 		// twice.
-		i.p.seedExact(i.flow.Value)
+		i.p.pipe.exact.Seed(i.flow.Value)
 	}
 	rep := expandedFlowReport(i.p, i.name, i.flow, pr)
 	if i.certified {

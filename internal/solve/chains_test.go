@@ -129,8 +129,8 @@ func TestChainStartLeavesProblemUnfingerprinted(t *testing.T) {
 				t.Error("the chain's first step ran cold")
 			}
 			svc.Release(res.Problem, tc.solver)
-			if st := svc.Stats(); st.CachedInstances != 0 || st.CachedOracles != 0 {
-				t.Errorf("Release left %d instances and %d oracles held", st.CachedInstances, st.CachedOracles)
+			if instances, oracles := MetricValue(t, svc, "analogflow_cached_instances"), MetricValue(t, svc, "analogflow_cached_oracles"); instances != 0 || oracles != 0 {
+				t.Errorf("Release left %v instances and %v oracles held", instances, oracles)
 			}
 		})
 	}

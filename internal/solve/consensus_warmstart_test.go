@@ -113,15 +113,15 @@ func TestShardedOneEdgeUpdateEightRegions(t *testing.T) {
 			res.Report.RelativeError)
 	}
 
-	stats := svc.Stats()
-	if stats.ConsensusWarmStarts < 1 {
-		t.Errorf("consensus_warm_starts = %d, want >= 1", stats.ConsensusWarmStarts)
+	if got := MetricValue(t, svc, "analogflow_consensus_warm_starts_total"); got < 1 {
+		t.Errorf("consensus_warm_starts = %v, want >= 1", got)
 	}
-	if stats.RegionsSkipped < 6 {
-		t.Errorf("regions_skipped = %d, want >= 6", stats.RegionsSkipped)
+	if got := MetricValue(t, svc, "analogflow_regions_skipped_total"); got < 6 {
+		t.Errorf("regions_skipped = %v, want >= 6", got)
 	}
-	if stats.AvgOuterIterations <= 0 {
-		t.Errorf("avg_outer_iterations = %g, want > 0", stats.AvgOuterIterations)
+	iters, runs := MetricValue(t, svc, "analogflow_consensus_outer_iterations_total"), MetricValue(t, svc, "analogflow_consensus_outer_runs_total")
+	if runs == 0 || iters/runs <= 0 {
+		t.Errorf("consensus outer iterations %v over %v runs, want a positive average", iters, runs)
 	}
 }
 
@@ -174,8 +174,8 @@ func TestShardedWarmIncreaseEscalates(t *testing.T) {
 	if res.Report.RelativeError > 0.05 {
 		t.Errorf("post-escalation relative error %.3g vs exact, beyond the consensus tolerance", res.Report.RelativeError)
 	}
-	if got := svc.Stats().ConsensusEscalations; got < 1 {
-		t.Errorf("consensus_escalations = %d, want >= 1", got)
+	if got := MetricValue(t, svc, "analogflow_consensus_escalations_total"); got < 1 {
+		t.Errorf("consensus_escalations = %v, want >= 1", got)
 	}
 }
 

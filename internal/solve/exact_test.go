@@ -3,21 +3,18 @@ package solve
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
+	"analogflow/internal/core"
 	"analogflow/internal/graph"
 	"analogflow/internal/maxflow"
 	"analogflow/internal/rmat"
 )
 
-// exactMemoCold reports whether neither of the problem's exact-value memos
-// holds a value: the pipeline memo is unset and no analog bundle (with its
-// own memo) was built.
-func exactMemoCold(p *Problem) bool {
-	p.pipe.exactMu.Lock()
-	defer p.pipe.exactMu.Unlock()
-	return !p.pipe.exactDone && p.pipe.prepBuilt.Load() == nil
-}
+// exactMemoCold reports whether the problem's exact-value memo holds no
+// value.
+func exactMemoCold(p *Problem) bool { return !p.pipe.exact.Done() }
 
 // solveVia runs one backend on p through the registry or a fresh service.
 func solveVia(t *testing.T, via, name string, p *Problem) *Report {
@@ -201,5 +198,71 @@ func TestWithUpdateSeedsIdentityCore(t *testing.T) {
 	}
 	if math.Abs(rep.FlowValue-exact) > 1e-9*math.Max(1, exact) {
 		t.Fatalf("updated problem flow %v, dinic %v", rep.FlowValue, exact)
+	}
+}
+
+// TestExactMemoSharedUnderRace races every way into a fresh problem's exact
+// value — building the analog bundle, ExactValue, a dinic solve (which seeds
+// the memo), a behavioral solve (whose finalize reads it through the bundle)
+// and an updatable behavioral solve (whose warm reference network seeds it)
+// — and checks that all of them see one value, the Dinic reference of the
+// problem's s-t core.  Run under -race.
+func TestExactMemoSharedUnderRace(t *testing.T) {
+	ctx := context.Background()
+	reg := DefaultRegistry()
+	behavioral, err := reg.Get("behavioral")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		p, err := NewProblem(rmat.MustGenerate(rmat.SparseParams(24, seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg                       sync.WaitGroup
+			prep                     *core.Prepared
+			exact                    float64
+			dinicRep, behRep, updRep *Report
+			errs                     [5]error
+		)
+		wg.Add(5)
+		go func() { defer wg.Done(); prep, errs[0] = p.Prepared() }()
+		go func() { defer wg.Done(); exact, errs[1] = p.ExactValue(ctx) }()
+		go func() { defer wg.Done(); dinicRep, errs[2] = reg.Solve(ctx, "dinic", p) }()
+		go func() { defer wg.Done(); behRep, errs[3] = reg.Solve(ctx, "behavioral", p) }()
+		go func() {
+			defer wg.Done()
+			inst, err := behavioral.(UpdatableSolver).NewUpdatableInstance(p)
+			if err != nil {
+				errs[4] = err
+				return
+			}
+			updRep, errs[4] = inst.Solve(ctx)
+		}()
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("seed %d: racer %d: %v", seed, i, err)
+			}
+		}
+		coreG, _ := p.STCore()
+		want, err := maxflow.OptimalValue(coreG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepExact, err := prep.ExactValue(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]float64{
+			"ExactValue": exact, "Prepared": prepExact, "dinic flow": dinicRep.FlowValue,
+			"dinic report": dinicRep.ExactValue, "behavioral report": behRep.ExactValue,
+			"updatable behavioral report": updRep.ExactValue,
+		} {
+			if got != want {
+				t.Errorf("seed %d: %s sees exact value %v, want %v", seed, name, got, want)
+			}
+		}
 	}
 }

@@ -61,8 +61,8 @@ func TestFaultPanicFlatWarmChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := rep.FlowValue
-	if got := svc.Stats().CachedInstances; got != 1 {
-		t.Fatalf("warm cache holds %d instances after base solve, want 1", got)
+	if got := solve.MetricValue(t, svc, "analogflow_cached_instances"); got != 1 {
+		t.Fatalf("warm cache holds %v instances after base solve, want 1", got)
 	}
 
 	inj.SetPlan(faultinject.Plan{PanicOnSolve: int(inj.Calls()) + 1})
@@ -80,16 +80,18 @@ func TestFaultPanicFlatWarmChain(t *testing.T) {
 	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "faultinject") {
 		t.Errorf("panic stack does not reach the faulting frame:\n%s", pe.Stack)
 	}
-	st := svc.Stats()
-	if st.SolverPanics != 1 {
-		t.Errorf("solver_panics = %d, want 1", st.SolverPanics)
+	if got := solve.MetricValue(t, svc, "analogflow_solver_panics_total"); got != 1 {
+		t.Errorf("solver_panics = %v, want 1", got)
 	}
-	if st.CachedInstances != 0 {
-		t.Errorf("poisoned instance still cached (%d entries)", st.CachedInstances)
+	if got := solve.MetricValue(t, svc, "analogflow_cached_instances"); got != 0 {
+		t.Errorf("poisoned instance still cached (%v entries)", got)
 	}
 
 	inj.SetPlan(faultinject.Plan{})
-	missesBefore := st.CacheMisses
+	misses := func() float64 {
+		return solve.MetricValue(t, svc, "analogflow_cache_events_total", "cache", "instance", "event", "miss")
+	}
+	missesBefore := misses()
 	rep, err = svc.Solve(context.Background(), solve.Request{Solver: "dinic", Problem: prob})
 	if err != nil {
 		t.Fatalf("post-panic solve failed: %v", err)
@@ -97,9 +99,8 @@ func TestFaultPanicFlatWarmChain(t *testing.T) {
 	if rep.FlowValue != want {
 		t.Errorf("post-panic value %v, want %v", rep.FlowValue, want)
 	}
-	if st = svc.Stats(); st.CacheMisses != missesBefore+1 {
-		t.Errorf("post-panic solve was not a cold cache miss (misses %d -> %d)",
-			missesBefore, st.CacheMisses)
+	if got := misses(); got != missesBefore+1 {
+		t.Errorf("post-panic solve was not a cold cache miss (misses %v -> %v)", missesBefore, got)
 	}
 }
 
@@ -152,8 +153,8 @@ func TestFaultPanicMidShardedUpdateChain(t *testing.T) {
 	if rep.Plan == nil || !rep.Plan.Sharded {
 		t.Fatalf("base solve not sharded: %+v", rep.Plan)
 	}
-	if got := svc.Stats().CachedOracles; got != 1 {
-		t.Fatalf("cached_oracles = %d after base solve, want 1", got)
+	if got := solve.MetricValue(t, svc, "analogflow_cached_oracles"); got != 1 {
+		t.Fatalf("cached_oracles = %v after base solve, want 1", got)
 	}
 
 	// Warm the chain with one clean step so the panic lands mid-chain, on a
@@ -182,15 +183,14 @@ func TestFaultPanicMidShardedUpdateChain(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Solver != "dinic" {
 		t.Fatalf("panic error %v not attributed to dinic", err)
 	}
-	st := svc.Stats()
-	if st.SolverPanics != 1 {
-		t.Errorf("solver_panics = %d, want 1", st.SolverPanics)
+	if got := solve.MetricValue(t, svc, "analogflow_solver_panics_total"); got != 1 {
+		t.Errorf("solver_panics = %v, want 1", got)
 	}
-	if st.CachedOracles != 0 {
-		t.Errorf("the chain's oracle not dropped after panic: cached_oracles = %d", st.CachedOracles)
+	if got := solve.MetricValue(t, svc, "analogflow_cached_oracles"); got != 0 {
+		t.Errorf("the chain's oracle not dropped after panic: cached_oracles = %v", got)
 	}
-	if st.RegionColdRebuilds < 1 {
-		t.Errorf("region_cold_rebuilds = %d, want >= 1 (the panicked region)", st.RegionColdRebuilds)
+	if got := solve.MetricValue(t, svc, "analogflow_region_cold_rebuilds_total"); got < 1 {
+		t.Errorf("region_cold_rebuilds = %v, want >= 1 (the panicked region)", got)
 	}
 
 	// Nothing poisoned is left: restarting the chain from its last problem
@@ -207,8 +207,8 @@ func TestFaultPanicMidShardedUpdateChain(t *testing.T) {
 		t.Errorf("post-panic solve %.2f vs exact %.2f (%.0f%% error)",
 			rep.FlowValue, rep.ExactValue, 100*rep.RelativeError)
 	}
-	if got := svc.Stats().CachedOracles; got != 1 {
-		t.Errorf("the restarted chain holds no oracle: cached_oracles = %d", got)
+	if got := solve.MetricValue(t, svc, "analogflow_cached_oracles"); got != 1 {
+		t.Errorf("the restarted chain holds no oracle: cached_oracles = %v", got)
 	}
 }
 
@@ -226,9 +226,9 @@ func TestFaultCancelMidChain(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	st := svc.Stats()
-	if st.SolverPanics != 0 || st.ShedRequests != 0 {
-		t.Errorf("cancellation miscounted: panics=%d shed=%d", st.SolverPanics, st.ShedRequests)
+	panics, shed := solve.MetricValue(t, svc, "analogflow_solver_panics_total"), solve.MetricValue(t, svc, "analogflow_shed_requests_total")
+	if panics != 0 || shed != 0 {
+		t.Errorf("cancellation miscounted: panics=%v shed=%v", panics, shed)
 	}
 	if _, err := svc.Solve(context.Background(), solve.Request{Solver: "dinic", Problem: prob}); err != nil {
 		t.Fatalf("post-cancel solve failed: %v", err)
@@ -247,9 +247,9 @@ func TestFaultInjectedError(t *testing.T) {
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
-	st := svc.Stats()
-	if st.Errors != 1 || st.SolverPanics != 0 {
-		t.Errorf("errors=%d panics=%d after injected error, want 1/0", st.Errors, st.SolverPanics)
+	errs, panics := solve.MetricValue(t, svc, "analogflow_errors_total"), solve.MetricValue(t, svc, "analogflow_solver_panics_total")
+	if errs != 1 || panics != 0 {
+		t.Errorf("errors=%v panics=%v after injected error, want 1/0", errs, panics)
 	}
 	if _, err := svc.Solve(context.Background(), solve.Request{Solver: "dinic", Problem: prob}); err != nil {
 		t.Fatalf("second solve failed: %v", err)

@@ -62,11 +62,6 @@ func (b *backendWindows) window(solver string) *backendWindow {
 	return w
 }
 
-// observe folds one completed solve's wall time into the backend's windows.
-func (b *backendWindows) observe(solver string, d time.Duration) {
-	b.observeOp(solver, "solve", d)
-}
-
 // observeOp folds one completed request of the given op.
 func (b *backendWindows) observeOp(solver, op string, d time.Duration) {
 	if d <= 0 {
@@ -102,7 +97,8 @@ func (b *backendWindows) estimate(solver string) time.Duration {
 	return time.Duration(w.ema.Value() * float64(time.Millisecond))
 }
 
-// BackendWindow is the per-backend latency snapshot Stats exposes.
+// BackendWindow is the per-backend latency snapshot Service.BackendWindows
+// returns.
 type BackendWindow struct {
 	// EMAms is the fixed-alpha EMA (the admission estimator), in
 	// milliseconds of wall time.

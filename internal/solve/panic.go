@@ -17,7 +17,7 @@ var ErrSolverPanic = errors.New("solve: solver panicked")
 // workers).  The warm state the panicking solve was running on — a cached
 // instance, a chain's instance or region oracle — is considered poisoned and
 // dropped by the service, so the next solve runs cold; the process itself
-// keeps serving (Stats.SolverPanics counts the conversions).
+// keeps serving (analogflow_solver_panics_total counts the conversions).
 type SolverPanicError struct {
 	// Solver is the registry name of the backend that panicked.
 	Solver string

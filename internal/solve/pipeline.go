@@ -3,12 +3,10 @@ package solve
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"analogflow/internal/core"
 	"analogflow/internal/decompose"
 	"analogflow/internal/graph"
-	"analogflow/internal/maxflow"
 )
 
 // pipeline holds the staged preprocessing artifacts of a Problem.  The
@@ -23,23 +21,21 @@ import (
 //
 // Each artifact is computed lazily, exactly once, under its own sync.Once,
 // and then shared: the CPU backends solve on the pruned core (the problem's
-// graph itself when the prune removes nothing), the exact reference value
-// that the backends without an optimality certificate read is one Dinic
-// solve of the same core, and the two analog backends share one
-// core.Prepared built from the same prune result.
+// graph itself when the prune removes nothing), and the two analog backends
+// share one core.Prepared built from the same prune result.  The exact
+// reference value that the backends without an optimality certificate read
+// is one Dinic solve of the same core, kept in the problem's one
+// core.ExactMemo, which the core.Prepared bundle shares.
 type pipeline struct {
 	pruneOnce sync.Once
 	prune     *graph.PruneResult // nil when pruning is disabled
 	coreG     *graph.Graph
 
-	prepOnce  sync.Once
-	prep      *core.Prepared
-	prepErr   error
-	prepBuilt atomic.Pointer[core.Prepared] // set inside prepOnce; lock-free "is it built yet" probe
+	prepOnce sync.Once
+	prep     *core.Prepared
+	prepErr  error
 
-	exactMu   sync.Mutex
-	exactDone bool
-	exact     float64
+	exact core.ExactMemo
 
 	partMu sync.Mutex
 	parts  map[partKey]decompose.Partition
@@ -73,25 +69,13 @@ func (p *Problem) STCore() (*graph.Graph, *graph.PruneResult) {
 
 // Prepared returns the quantize stage's output: the substrate preprocessing
 // bundle of internal/core (prune + voltage quantization + fused re-prune),
-// built once from the shared prune artifact and reused by both analog
-// backends and by every cached warm instance.
+// built once from the shared prune artifact and the problem's exact-value
+// memo, and reused by both analog backends and by every cached warm
+// instance.
 func (p *Problem) Prepared() (*core.Prepared, error) {
 	p.pipe.prepOnce.Do(func() {
 		_, pr := p.STCore()
-		p.pipe.prep, p.pipe.prepErr = core.PrepareWithCore(p.g, pr, p.params)
-		if p.pipe.prep != nil {
-			// Publish the bundle BEFORE the seed check: together with the
-			// post-compute re-check in ExactValue, the exactMu ordering then
-			// guarantees that whichever of {this seed check, a concurrent
-			// pipeline-memo computation} runs second sees the other's work,
-			// so the two memos can never both stay cold.
-			p.pipe.prepBuilt.Store(p.pipe.prep)
-			p.pipe.exactMu.Lock()
-			if p.pipe.exactDone {
-				p.pipe.prep.SeedExactValue(p.pipe.exact)
-			}
-			p.pipe.exactMu.Unlock()
-		}
+		p.pipe.prep, p.pipe.prepErr = core.PrepareWithCore(p.g, pr, &p.pipe.exact, p.params)
 	})
 	return p.pipe.prep, p.pipe.prepErr
 }
@@ -100,49 +84,14 @@ func (p *Problem) Prepared() (*core.Prepared, error) {
 // with Dinic's algorithm on the s-t core (which has the same max-flow value
 // as the original by construction) and then shared by the relative-error
 // reporting of every backend that does not certify its own optimum (see
-// cpuSolver).  The pipeline memo and the core.Prepared
-// bundle's memo (which the analog finalize step reads) seed each other, so
-// the whole problem runs at most one reference solve — without the pure-CPU
-// backends ever forcing the quantize stage just to reach a memo.  A
-// cancelled computation is not memoised, so a later call with a live context
-// retries.
+// cpuSolver).  The memo is the one the problem's core.Prepared bundle
+// reads, so the whole problem runs at most one reference solve, and the
+// pure-CPU backends never force the quantize stage to reach it.  A
+// cancelled computation is not memoised, so a later call with a live
+// context retries.
 func (p *Problem) ExactValue(ctx context.Context) (float64, error) {
-	if prep := p.pipe.prepBuilt.Load(); prep != nil {
-		// The analog bundle exists; use (and share) its memo.
-		return prep.ExactValue(ctx)
-	}
-	p.pipe.exactMu.Lock()
-	defer p.pipe.exactMu.Unlock()
-	if p.pipe.exactDone {
-		return p.pipe.exact, nil
-	}
 	coreG, _ := p.STCore()
-	v, err := maxflow.OptimalValueContext(ctx, coreG)
-	if err != nil {
-		return 0, err
-	}
-	p.pipe.exact, p.pipe.exactDone = v, true
-	// Re-check under the lock: if the bundle appeared while we computed,
-	// its seed check ran before our memoisation (exactMu orders the two),
-	// so it is on us to hand the value over.
-	if prep := p.pipe.prepBuilt.Load(); prep != nil {
-		prep.SeedExactValue(v)
-	}
-	return v, nil
-}
-
-// seedExact records an exact maximum flow a backend just computed (always a
-// Dinic value bit-identical to what the memos would derive), so neither memo
-// ever re-runs the reference solve.
-func (p *Problem) seedExact(v float64) {
-	p.pipe.exactMu.Lock()
-	if !p.pipe.exactDone {
-		p.pipe.exact, p.pipe.exactDone = v, true
-	}
-	p.pipe.exactMu.Unlock()
-	if prep := p.pipe.prepBuilt.Load(); prep != nil {
-		prep.SeedExactValue(v)
-	}
+	return p.pipe.exact.Value(ctx, coreG)
 }
 
 // PartitionInto returns the decompose stage's output: the N-region overlap

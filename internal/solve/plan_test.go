@@ -124,9 +124,8 @@ func TestServiceAutoShardsOversizedProblem(t *testing.T) {
 			tol = 0.35 // quantization + perturbation noise on top of the consensus gap
 		}
 		testutil.AssertAlmostEqual(t, rep.FlowValue, exact, tol, solver+" sharded flow vs exact")
-		stats := svc.Stats()
-		if stats.PlannedSolves != 1 || stats.ShardedSolves != 1 {
-			t.Errorf("%s: planner stats %+v, want 1 planned / 1 sharded", solver, stats)
+		if planned, sharded := plannerCounters(t, svc); planned != 1 || sharded != 1 {
+			t.Errorf("%s: planner stats %v planned / %v sharded, want 1 / 1", solver, planned, sharded)
 		}
 	}
 }
@@ -146,9 +145,8 @@ func TestServiceBudgetMonolithicWhenFits(t *testing.T) {
 	if rep.Plan != nil {
 		t.Errorf("monolithic solve unexpectedly carries a plan: %+v", rep.Plan)
 	}
-	stats := svc.Stats()
-	if stats.PlannedSolves != 1 || stats.ShardedSolves != 0 {
-		t.Errorf("planner stats %+v, want 1 planned / 0 sharded", stats)
+	if planned, sharded := plannerCounters(t, svc); planned != 1 || sharded != 0 {
+		t.Errorf("planner stats %v planned / %v sharded, want 1 / 0", planned, sharded)
 	}
 }
 
@@ -432,8 +430,8 @@ func TestShardedSolvesRespectWorkerBound(t *testing.T) {
 	if peak := gauge.peak.Load(); peak > workers {
 		t.Errorf("peak of %d concurrent backend solves exceeds the worker bound %d", peak, workers)
 	}
-	if got := svc.Stats().InFlight; got != 0 {
-		t.Errorf("in-flight gauge %d after completion, want 0", got)
+	if got := MetricValue(t, svc, "analogflow_in_flight_solves"); got != 0 {
+		t.Errorf("in-flight gauge %v after completion, want 0", got)
 	}
 }
 
@@ -454,9 +452,8 @@ func TestServiceBudgetReachesDecomposeBackend(t *testing.T) {
 	if rep.Plan == nil || !rep.Plan.Sharded || rep.Plan.BudgetMaxVertices != 80 || rep.Plan.Regions < 3 {
 		t.Errorf("service budget did not reach the decompose backend: plan %+v", rep.Plan)
 	}
-	stats := svc.Stats()
-	if stats.PlannedSolves != 1 || stats.ShardedSolves != 1 {
-		t.Errorf("planner stats %+v, want 1 planned / 1 sharded", stats)
+	if planned, sharded := plannerCounters(t, svc); planned != 1 || sharded != 1 {
+		t.Errorf("planner stats %v planned / %v sharded, want 1 / 1", planned, sharded)
 	}
 	// A problem carrying its own budget wins over the service default.
 	own, err := NewProblem(g, WithBudget(Budget{MaxVertices: 120}))

@@ -223,9 +223,9 @@ func (p *Problem) WithUpdate(u graph.CapacityUpdate) (*Problem, error) {
 //     regions and a structural update never adds vertices, so every inherited
 //     partition remains a valid cover.  This deliberately freezes the chain's
 //     decomposition — the regions owning touched edges rebuild cold inside the
-//     chain's oracle (Stats.RegionColdRebuilds) while every untouched region
-//     keeps its warm instance and consensus state, which is the selective
-//     invalidation sharded structural steps need.
+//     chain's oracle (analogflow_region_cold_rebuilds_total) while every
+//     untouched region keeps its warm instance and consensus state, which is
+//     the selective invalidation sharded structural steps need.
 //
 // The prune stage is NOT seeded: topology moved, so the s-t core must be
 // recomputed from scratch (a park can strand a branch, an insertion can revive

@@ -228,134 +228,11 @@ func (s *Service) cached() (instances, oracles int) {
 	return len(s.cache) + flat, sharded
 }
 
-// Stats is a snapshot of the service counters.
-type Stats struct {
-	// Requests counts Solve calls (batch items included); Errors the subset
-	// that failed; Completed the subset that finished either way.
-	Requests  int64 `json:"requests"`
-	Errors    int64 `json:"errors"`
-	Completed int64 `json:"completed"`
-	// CacheHits / CacheMisses count warm-instance lookups: one-shot cache
-	// lookups, chain starts (always a miss) and flat update steps (a hit when
-	// the chain's instance absorbed the step).
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	// CachedInstances counts the flat warm instances held — one-shot cache
-	// entries plus flat update chains; InFlight the solves currently
-	// executing.
-	CachedInstances int   `json:"cached_instances"`
-	InFlight        int64 `json:"in_flight"`
-	// Updates counts Update calls; UpdateWarmHits the subset a warm instance
-	// absorbed in place (the remainder fell back to a cold build).
-	Updates        int64 `json:"updates"`
-	UpdateWarmHits int64 `json:"update_warm_hits"`
-	// StructuralUpdates counts Update steps that carried a topology component
-	// (edge insertions/removals); SlackExhaustedRebuilds the subset whose
-	// insertion found no parked slot to reclaim and forced one honest cold
-	// rebuild of the warm instance (the chain continues warm from it).
-	StructuralUpdates      int64 `json:"structural_updates"`
-	SlackExhaustedRebuilds int64 `json:"slack_exhausted_rebuilds"`
-	// PlannedSolves counts requests the partition planner examined under a
-	// non-zero budget; ShardedSolves the subset it split into regions and
-	// routed through the N-region decomposition.
-	PlannedSolves int64 `json:"planned_solves"`
-	ShardedSolves int64 `json:"sharded_solves"`
-	// ShardedUpdates counts Update steps routed through the planner's
-	// N-region decomposition; ShardedUpdateWarmHits the subset that ran on
-	// the chain's region oracle (rebound region by region).
-	// RegionColdRebuilds totals the per-region cold rebuilds across every
-	// sharded solve — structural fallbacks inside otherwise warm chains land
-	// here, not in a lost warm hit.  CachedOracles counts the sharded chains
-	// holding a region oracle.
-	ShardedUpdates        int64 `json:"sharded_updates"`
-	ShardedUpdateWarmHits int64 `json:"sharded_update_warm_hits"`
-	RegionColdRebuilds    int64 `json:"region_cold_rebuilds"`
-	CachedOracles         int   `json:"cached_oracles"`
-	// ConsensusWarmStarts counts sharded solves whose consensus outer loop
-	// was seeded from the chain's carried state; ConsensusEscalations the
-	// subset whose warm quick attempt was rejected (unconverged or outside
-	// the acceptance band) and re-ran the full consensus.  RegionsSkipped
-	// totals the clean regions replayed from carried state instead of
-	// re-solved, and AvgOuterIterations is the mean consensus outer-iteration
-	// count per sharded solve — the number the warm start exists to shrink.
-	ConsensusWarmStarts  int64   `json:"consensus_warm_starts"`
-	ConsensusEscalations int64   `json:"consensus_escalations"`
-	RegionsSkipped       int64   `json:"regions_skipped"`
-	AvgOuterIterations   float64 `json:"avg_outer_iterations"`
-	// ShedRequests counts requests the admission queue rejected with
-	// ErrOverloaded (deadline unmeetable or queue full) — they never held a
-	// worker slot.  QueueDepth is the current sheddable-waiter population.
-	ShedRequests int64 `json:"shed_requests"`
-	QueueDepth   int64 `json:"queue_depth"`
-	// SolverPanics counts backend panics recovered at the isolation
-	// boundary and converted into ErrSolverPanic failures (the poisoned
-	// warm state was dropped; the process kept serving).
-	SolverPanics int64 `json:"solver_panics"`
-	// BackendWindows is the latency view per backend: the fixed-alpha EMA
-	// (the admission queue's deadline estimator) and histogram quantiles.
-	BackendWindows map[string]BackendWindow `json:"backend_windows,omitempty"`
-	// EffectiveWorkers is the worker-slot capacity (the configured
-	// Workers); BusyWorkers the slots currently held; LaneDepths the
-	// admission waiters per lane.
-	EffectiveWorkers int        `json:"effective_workers"`
-	BusyWorkers      int        `json:"busy_workers"`
-	LaneDepths       LaneDepths `json:"lane_depths"`
-	// ThroughputRPS is completed requests per second over a 10s meter.
-	ThroughputRPS float64 `json:"throughput_rps"`
-}
-
-// LaneDepths is the admission-queue waiter count per priority lane.
-type LaneDepths struct {
-	Urgent   int `json:"urgent"`
-	Priority int `json:"priority"`
-	Normal   int `json:"normal"`
-}
-
-// Stats returns a snapshot of the service counters.
-func (s *Service) Stats() Stats {
-	instances, oracles := s.cached()
-	var avgOuter float64
-	if runs := s.outerRuns.Value(); runs > 0 {
-		avgOuter = float64(s.outerIters.Value()) / float64(runs)
-	}
-	depths := s.adm.laneDepths()
-	return Stats{
-		Requests:               s.requests.Value(),
-		Errors:                 s.errors.Value(),
-		Completed:              s.completed.Value(),
-		CacheHits:              s.hits.Value(),
-		CacheMisses:            s.misses.Value(),
-		CachedInstances:        instances,
-		InFlight:               s.inFlight.Load(),
-		Updates:                s.updates.Value(),
-		UpdateWarmHits:         s.updatesWarm.Value(),
-		StructuralUpdates:      s.structUpdates.Value(),
-		SlackExhaustedRebuilds: s.slackExhausted.Value(),
-		PlannedSolves:          s.planned.Value(),
-		ShardedSolves:          s.sharded.Value(),
-
-		ShardedUpdates:        s.shardedUpd.Value(),
-		ShardedUpdateWarmHits: s.shardedUpdWarm.Value(),
-		RegionColdRebuilds:    s.regionRebuilds.Value(),
-		CachedOracles:         oracles,
-		ConsensusWarmStarts:   s.consensusWarm.Value(),
-		ConsensusEscalations:  s.consensusEsc.Value(),
-		RegionsSkipped:        s.regionsSkipped.Value(),
-		AvgOuterIterations:    avgOuter,
-		ShedRequests:          s.shedRequests.Value(),
-		QueueDepth:            int64(s.adm.queueDepth()),
-		SolverPanics:          s.solverPanics.Value(),
-		BackendWindows:        s.ema.windows(),
-		EffectiveWorkers:      s.workers,
-		BusyWorkers:           s.adm.busy(),
-		LaneDepths: LaneDepths{
-			Urgent:   depths[laneUrgent],
-			Priority: depths[lanePriority],
-			Normal:   depths[laneNormal],
-		},
-		ThroughputRPS: s.meter.Rate(),
-	}
-}
+// BackendWindows returns the per-backend latency view: the admission
+// queue's EMA estimate and the request-duration histogram's quantiles, both
+// of which the metrics registry exposes.  It is nil before the first
+// completed request.
+func (s *Service) BackendWindows() map[string]BackendWindow { return s.ema.windows() }
 
 // Request is one unit of batch work.
 type Request struct {
@@ -510,9 +387,9 @@ func (s *Service) effectiveBudget(p *Problem) Budget {
 // runs on a fresh oracle and drops it.  warm reports whether the solve ran on
 // the chain's oracle; individual regions may still have rebuilt cold inside
 // it — a positivity flip in one region, or an analog region whose quantized
-// structure moved — and RegionColdRebuilds counts those per region, so a
-// warm step with one structural region is one warm hit plus one cold
-// rebuild, not a lost warm hit.
+// structure moved — and analogflow_region_cold_rebuilds_total counts those
+// per region, so a warm step with one structural region is one warm hit plus
+// one cold rebuild, not a lost warm hit.
 func (s *Service) planAndRoute(ctx context.Context, sol Solver, base, target *Problem, chain bool) (rep *Report, routed, warm bool, err error) {
 	b := s.effectiveBudget(target)
 	if b.IsZero() {
@@ -823,7 +700,8 @@ type UpdateResult struct {
 	// evicted or dropped after an error — after a structural change, and for
 	// backends without warm state); for sharded chains, the chain's region
 	// oracle was rebound — individual regions may still have rebuilt cold on
-	// a structural change (Stats.RegionColdRebuilds counts those).
+	// a structural change (analogflow_region_cold_rebuilds_total counts
+	// those).
 	Warm bool
 	// Structural reports whether the step carried a topology component, and
 	// SlackRemaining how many parked slots the updated problem still holds —
@@ -910,8 +788,9 @@ func (s *Service) update(ctx context.Context, req UpdateRequest) (*UpdateResult,
 	// WithUpdate/UpdatableInstance.Update path flat chains use, and the
 	// oracle is stored under the updated problem for the next step.
 	// Structural steps (a capacity crossing zero inside a region) rebuild
-	// only the affected regions cold — counted in Stats.RegionColdRebuilds —
-	// and the rest of the oracle stays warm.
+	// only the affected regions cold — counted in
+	// analogflow_region_cold_rebuilds_total — and the rest of the oracle
+	// stays warm.
 	if rep, routed, warm, err := s.planAndRoute(ctx, sol, req.Problem, target, true); routed {
 		if err != nil {
 			return nil, err

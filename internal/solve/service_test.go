@@ -110,12 +110,14 @@ func TestServiceWarmEngineReuse(t *testing.T) {
 			stats.Refactorizations, n, baseStats.Refactorizations)
 	}
 
-	st := svc.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != n-1 {
-		t.Errorf("cache counters: %d misses / %d hits, want 1 / %d", st.CacheMisses, st.CacheHits, n-1)
+	misses := MetricValue(t, svc, "analogflow_cache_events_total", "cache", "instance", "event", "miss")
+	hits := MetricValue(t, svc, "analogflow_cache_events_total", "cache", "instance", "event", "hit")
+	if misses != 1 || hits != n-1 {
+		t.Errorf("cache counters: %v misses / %v hits, want 1 / %d", misses, hits, n-1)
 	}
-	if st.Requests != n || st.Completed != n || st.Errors != 0 {
-		t.Errorf("request counters: %+v", st)
+	requests, completed := MetricValue(t, svc, "analogflow_requests_total"), MetricValue(t, svc, "analogflow_completed_total")
+	if errs := MetricValue(t, svc, "analogflow_errors_total"); requests != n || completed != n || errs != 0 {
+		t.Errorf("request counters: %v requests, %v completed, %v errors", requests, completed, errs)
 	}
 }
 
@@ -282,8 +284,8 @@ func TestServiceUnknownSolver(t *testing.T) {
 	if !errors.Is(err, ErrUnknownSolver) {
 		t.Fatalf("want ErrUnknownSolver, got %v", err)
 	}
-	if st := svc.Stats(); st.Errors != 1 {
-		t.Errorf("error not counted: %+v", st)
+	if got := MetricValue(t, svc, "analogflow_errors_total"); got != 1 {
+		t.Errorf("error not counted: %v errors", got)
 	}
 }
 
@@ -423,8 +425,8 @@ func TestServiceEvictionHammered(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := svc.Stats(); st.CachedInstances > 2 {
-		t.Errorf("cache failed to shrink back: %d instances", st.CachedInstances)
+	if got := MetricValue(t, svc, "analogflow_cached_instances"); got > 2 {
+		t.Errorf("cache failed to shrink back: %v instances", got)
 	}
 }
 
@@ -450,8 +452,8 @@ func TestServiceCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := svc.Stats(); st.CachedInstances != 1 {
-		t.Errorf("cache holds %d instances, want 1", st.CachedInstances)
+	if got := MetricValue(t, svc, "analogflow_cached_instances"); got != 1 {
+		t.Errorf("cache holds %v instances, want 1", got)
 	}
 }
 

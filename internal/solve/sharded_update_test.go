@@ -94,8 +94,8 @@ func TestShardedUpdateChainWarmFromStepOne(t *testing.T) {
 	if rep.Plan == nil || !rep.Plan.Sharded {
 		t.Fatalf("base solve not sharded: %+v", rep.Plan)
 	}
-	if got := svc.Stats().CachedOracles; got != 1 {
-		t.Fatalf("base solve cached %d oracles, want 1", got)
+	if got := MetricValue(t, svc, "analogflow_cached_oracles"); got != 1 {
+		t.Fatalf("base solve cached %v oracles, want 1", got)
 	}
 	plan, part, err := planFor(prob, budget)
 	if err != nil || !plan.Sharded {
@@ -124,16 +124,15 @@ func TestShardedUpdateChainWarmFromStepOne(t *testing.T) {
 		}
 		prob = res.Problem
 	}
-	stats := svc.Stats()
-	if stats.ShardedUpdates != steps || stats.ShardedUpdateWarmHits != steps {
-		t.Errorf("sharded update stats %d/%d warm, want %d/%d",
-			stats.ShardedUpdates, stats.ShardedUpdateWarmHits, steps, steps)
+	updates, warm := MetricValue(t, svc, "analogflow_sharded_updates_total"), MetricValue(t, svc, "analogflow_sharded_update_warm_hits_total")
+	if updates != steps || warm != steps {
+		t.Errorf("sharded update stats %v/%v warm, want %d/%d", updates, warm, steps, steps)
 	}
-	if stats.RegionColdRebuilds != 0 {
-		t.Errorf("%d cold region rebuilds across a capacity-only chain, want 0", stats.RegionColdRebuilds)
+	if got := MetricValue(t, svc, "analogflow_region_cold_rebuilds_total"); got != 0 {
+		t.Errorf("%v cold region rebuilds across a capacity-only chain, want 0", got)
 	}
-	if stats.CachedOracles != 1 {
-		t.Errorf("%d region oracles held after the chain, want 1 (stored back per step)", stats.CachedOracles)
+	if got := MetricValue(t, svc, "analogflow_cached_oracles"); got != 1 {
+		t.Errorf("%v region oracles held after the chain, want 1 (stored back per step)", got)
 	}
 }
 
@@ -184,13 +183,11 @@ func TestShardedUpdateStructuralStepRepublishes(t *testing.T) {
 	if !res.Warm {
 		t.Error("structural step lost the chain's oracle entirely; only the owning region should go cold")
 	}
-	stats := svc.Stats()
-	if stats.RegionColdRebuilds != 1 {
-		t.Errorf("%d cold region rebuilds after zeroing one interior edge, want exactly 1 (the owning region)",
-			stats.RegionColdRebuilds)
+	if got := MetricValue(t, svc, "analogflow_region_cold_rebuilds_total"); got != 1 {
+		t.Errorf("%v cold region rebuilds after zeroing one interior edge, want exactly 1 (the owning region)", got)
 	}
-	if stats.CachedOracles != 1 {
-		t.Fatalf("oracle not stored back after the structural step (%d held)", stats.CachedOracles)
+	if got := MetricValue(t, svc, "analogflow_cached_oracles"); got != 1 {
+		t.Fatalf("oracle not stored back after the structural step (%v held)", got)
 	}
 	prob = res.Problem
 
@@ -209,13 +206,11 @@ func TestShardedUpdateStructuralStepRepublishes(t *testing.T) {
 		}
 		prob = res.Problem
 	}
-	final := svc.Stats()
-	if final.RegionColdRebuilds != 1 {
-		t.Errorf("cold rebuilds grew to %d after the structural step, want to stay at 1", final.RegionColdRebuilds)
+	if got := MetricValue(t, svc, "analogflow_region_cold_rebuilds_total"); got != 1 {
+		t.Errorf("cold rebuilds grew to %v after the structural step, want to stay at 1", got)
 	}
-	if final.ShardedUpdateWarmHits != 4 {
-		t.Errorf("%d warm hits over 4 steps, want 4 (the structural step still rides the chain's oracle)",
-			final.ShardedUpdateWarmHits)
+	if got := MetricValue(t, svc, "analogflow_sharded_update_warm_hits_total"); got != 4 {
+		t.Errorf("%v warm hits over 4 steps, want 4 (the structural step still rides the chain's oracle)", got)
 	}
 }
 
@@ -331,8 +326,8 @@ func TestShardedUpdateChainZeroNewSymbolicFactorizations(t *testing.T) {
 		}
 		prob = res.Problem
 	}
-	if got := svc.Stats().RegionColdRebuilds; got != 0 {
-		t.Errorf("%d cold region rebuilds across the circuit chain, want 0", got)
+	if got := MetricValue(t, svc, "analogflow_region_cold_rebuilds_total"); got != 0 {
+		t.Errorf("%v cold region rebuilds across the circuit chain, want 0", got)
 	}
 	stats := chainOracle(t, svc, prob, "circuit").engineStats()
 	if len(stats) == 0 {
@@ -406,12 +401,11 @@ func TestShardedOracleConcurrencyMatrix(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	stats := svc.Stats()
-	if stats.ShardedUpdates != chains*3 {
-		t.Errorf("%d sharded updates recorded, want %d", stats.ShardedUpdates, chains*3)
+	if got := MetricValue(t, svc, "analogflow_sharded_updates_total"); got != chains*3 {
+		t.Errorf("%v sharded updates recorded, want %d", got, chains*3)
 	}
-	if stats.InFlight != 0 {
-		t.Errorf("in-flight gauge %d after completion, want 0", stats.InFlight)
+	if got := MetricValue(t, svc, "analogflow_in_flight_solves"); got != 0 {
+		t.Errorf("in-flight gauge %v after completion, want 0", got)
 	}
 }
 
@@ -547,8 +541,8 @@ func TestShardedRepeatSolveIsCold(t *testing.T) {
 	if !reflect.DeepEqual(reps[0], reps[1]) {
 		t.Errorf("repeated one-shot sharded solves differ:\n%+v\nvs\n%+v", reps[0], reps[1])
 	}
-	if got := svc.Stats().CachedOracles; got != 0 {
-		t.Errorf("one-shot sharded solves left %d region oracles behind", got)
+	if got := MetricValue(t, svc, "analogflow_cached_oracles"); got != 0 {
+		t.Errorf("one-shot sharded solves left %v region oracles behind", got)
 	}
 	if _, err := svc.Solve(context.Background(), Request{Solver: "circuit", Problem: prob, Updatable: true}); err != nil {
 		t.Fatal(err)

@@ -76,8 +76,8 @@ var ErrIncompatibleUpdate = errors.New("solve: update incompatible with warm ins
 // edge (no parked slot with matching endpoints was left to reclaim), and the
 // warm instance's frozen pattern has no position for it.  The service reacts
 // like any incompatible update — one honest cold rebuild, counted in
-// Stats.SlackExhaustedRebuilds, after which the chain continues warm —
-// and errors.Is(err, ErrIncompatibleUpdate) holds.
+// analogflow_slack_exhausted_rebuilds_total, after which the chain continues
+// warm — and errors.Is(err, ErrIncompatibleUpdate) holds.
 var ErrSlackExhausted = fmt.Errorf("%w: structural slack exhausted", ErrIncompatibleUpdate)
 
 // UpdatableInstance is an Instance that can absorb a capacity-only problem

@@ -144,8 +144,9 @@ func TestServiceStructuralWarmParkReclaim(t *testing.T) {
 				}
 				prob = res.Problem
 			}
-			if st := svc.Stats(); st.StructuralUpdates != 2 || st.SlackExhaustedRebuilds != 0 {
-				t.Errorf("structural counters %d/%d, want 2/0", st.StructuralUpdates, st.SlackExhaustedRebuilds)
+			structural, exhausted := MetricValue(t, svc, "analogflow_structural_updates_total"), MetricValue(t, svc, "analogflow_slack_exhausted_rebuilds_total")
+			if structural != 2 || exhausted != 0 {
+				t.Errorf("structural counters %v/%v, want 2/0", structural, exhausted)
 			}
 		})
 	}
@@ -377,8 +378,8 @@ func TestShardedStructuralStepRebuildsOwningRegionOnly(t *testing.T) {
 				t.Errorf("step %d: region %d (not the owner %d) lost its warm instance", k, r, owner)
 			}
 		}
-		if got := svc.Stats().RegionColdRebuilds; got != int64(k+1) {
-			t.Errorf("after structural step %d: %d cold region rebuilds, want %d", k, got, k+1)
+		if got := MetricValue(t, svc, "analogflow_region_cold_rebuilds_total"); got != float64(k+1) {
+			t.Errorf("after structural step %d: %v cold region rebuilds, want %d", k, got, k+1)
 		}
 		prob = res.Problem
 	}
@@ -396,12 +397,11 @@ func TestShardedStructuralStepRebuildsOwningRegionOnly(t *testing.T) {
 		}
 		prob = res.Problem
 	}
-	final := svc.Stats()
-	if final.RegionColdRebuilds != 2 {
-		t.Errorf("cold rebuilds grew to %d, want to stay at 2 (one per structural step)", final.RegionColdRebuilds)
+	if got := MetricValue(t, svc, "analogflow_region_cold_rebuilds_total"); got != 2 {
+		t.Errorf("cold rebuilds grew to %v, want to stay at 2 (one per structural step)", got)
 	}
-	if final.StructuralUpdates != 2 {
-		t.Errorf("StructuralUpdates = %d, want 2", final.StructuralUpdates)
+	if got := MetricValue(t, svc, "analogflow_structural_updates_total"); got != 2 {
+		t.Errorf("structural updates = %v, want 2", got)
 	}
 }
 
@@ -479,8 +479,8 @@ func TestServiceStructuralSlackExhaustionPin(t *testing.T) {
 	if res.Warm {
 		t.Error("insertion past the slot pool claimed to be warm")
 	}
-	if st := svc.Stats(); st.SlackExhaustedRebuilds != 1 {
-		t.Errorf("SlackExhaustedRebuilds = %d, want 1", st.SlackExhaustedRebuilds)
+	if got := MetricValue(t, svc, "analogflow_slack_exhausted_rebuilds_total"); got != 1 {
+		t.Errorf("slack-exhausted rebuilds = %v, want 1", got)
 	}
 	prob = res.Problem
 
@@ -494,7 +494,7 @@ func TestServiceStructuralSlackExhaustionPin(t *testing.T) {
 	if !res.Warm {
 		t.Error("post-exhaustion capacity step ran cold; the rebuild did not re-arm the chain")
 	}
-	if st := svc.Stats(); st.SlackExhaustedRebuilds != 1 {
-		t.Errorf("SlackExhaustedRebuilds grew to %d, want to stay at 1", st.SlackExhaustedRebuilds)
+	if got := MetricValue(t, svc, "analogflow_slack_exhausted_rebuilds_total"); got != 1 {
+		t.Errorf("slack-exhausted rebuilds grew to %v, want to stay at 1", got)
 	}
 }

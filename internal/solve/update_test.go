@@ -186,8 +186,8 @@ func TestServiceUpdateWarmMatchesCold(t *testing.T) {
 			if !sawWarm {
 				t.Errorf("no update of the chain was absorbed warm")
 			}
-			if st := svc.Stats(); st.Updates != int64(len(updates)) || st.UpdateWarmHits == 0 {
-				t.Errorf("update counters: %+v", st)
+			if n, warm := MetricValue(t, svc, "analogflow_updates_total"), MetricValue(t, svc, "analogflow_update_warm_hits_total"); n != float64(len(updates)) || warm == 0 {
+				t.Errorf("update counters: %v updates, %v warm hits", n, warm)
 			}
 		})
 	}
@@ -565,8 +565,8 @@ func TestServiceUpdateNeverClaimsWarmWithoutState(t *testing.T) {
 	if res.Warm {
 		t.Error("update of a never-solved instance was reported warm")
 	}
-	if st := svc.Stats(); st.UpdateWarmHits != 0 {
-		t.Errorf("update_warm_hits = %d for a cold from-scratch step", st.UpdateWarmHits)
+	if got := MetricValue(t, svc, "analogflow_update_warm_hits_total"); got != 0 {
+		t.Errorf("update_warm_hits = %v for a cold from-scratch step", got)
 	}
 	if res.Report.FlowValue != 2 {
 		t.Errorf("flow %g, want 2", res.Report.FlowValue)
