@@ -468,6 +468,11 @@ func BenchmarkShardedUpdateResolve(b *testing.B) {
 //     (it is already ~3 s at 64×64 and does not finish at 256×256), with the
 //     true speedup reported.
 //   - dinic/<size>: the iterative blocking-flow kernel at the same size.
+//   - service-oneshot/128x128: the grid-oneshot request path without HTTP —
+//     a fresh 128×128 grid per iteration built through
+//     solve.FromSegmentationGrid, then Service.Solve with push-relabel:
+//     fingerprint, prune, residual build, kernel, certificate and flow
+//     expansion, with allocations reported.
 //   - sharded/<size>: the budget-sharded service solve of the same grid,
 //     value within the consensus band of the exact optimum (rel-err-%).
 //   - dinic-longpath/1048576: a 1024×1024-vertex single-chain instance —
@@ -558,6 +563,24 @@ func BenchmarkLargeGridSolve(b *testing.B) {
 			}
 			if math.Abs(f.Value-exact) > tol {
 				b.Fatalf("dinic flow %g, exact %g", f.Value, exact)
+			}
+		}
+	})
+
+	b.Run("service-oneshot/128x128", func(b *testing.B) {
+		b.ReportAllocs()
+		svc := solve.NewService(solve.Config{})
+		for i := 0; i < b.N; i++ {
+			p, err := solve.FromSegmentationGrid(128, 128, false, int64(i+1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := svc.Solve(context.Background(), solve.Request{Solver: "push-relabel", Problem: p})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.RelativeError != 0 {
+				b.Fatalf("push-relabel answer not certified: relative error %g", rep.RelativeError)
 			}
 		}
 	})

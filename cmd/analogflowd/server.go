@@ -451,7 +451,6 @@ const (
 	maxRequestBytes  = 32 << 20
 	maxBatchProblems = 1024
 	maxVertices      = 1 << 20
-	maxRMATEdges     = 8 << 20
 	maxBatchVertices = 4 << 20
 	maxBatchEdges    = 16 << 20
 	maxSessions      = 256
@@ -460,9 +459,10 @@ const (
 )
 
 // specSize returns the vertex and edge counts spec declares, read without
-// building anything, and applies the per-problem caps: the vertex cap of
-// every encoding and the R-MAT edge cap.  Inline and DIMACS edge counts are
-// bounded by the request body.
+// building anything, and applies the per-problem vertex cap of every
+// encoding.  Inline and DIMACS edge counts are bounded by the request body,
+// and an R-MAT preset declares at most max(vertices, 8000) edges plus
+// rmat.MaxPathEdges.
 func specSize(spec problemSpec) (vertices, edges int, err error) {
 	declared := 0
 	if spec.Edges != nil || spec.Vertices != 0 {
@@ -499,11 +499,7 @@ func specSize(spec problemSpec) (vertices, edges int, err error) {
 		// The generator may add rmat.MaxPathEdges edges past the preset's
 		// count to ensure an s-t path; the declaration is an upper bound.
 		p := spec.RMAT.params()
-		edges := p.Edges + rmat.MaxPathEdges
-		if edges > maxRMATEdges {
-			return 0, 0, fmt.Errorf("rmat spec expands to %d edges, exceeding the limit of %d", edges, maxRMATEdges)
-		}
-		return p.Vertices, edges, nil
+		return p.Vertices, p.Edges + rmat.MaxPathEdges, nil
 	case spec.Grid != nil:
 		w, h := spec.Grid.Width, spec.Grid.Height
 		if w < 1 || h < 1 {
@@ -546,18 +542,10 @@ func buildProblem(spec problemSpec, opts []solve.Option) (*solve.Problem, error)
 	case spec.DIMACS != "":
 		return solve.FromDIMACS(strings.NewReader(spec.DIMACS), opts...)
 	case spec.RMAT != nil:
-		g, err := rmat.Generate(spec.RMAT.params())
-		if err != nil {
-			return nil, err
-		}
-		return solve.NewProblem(g, opts...)
+		return solve.FromRMAT(spec.RMAT.params(), opts...)
 	case spec.Grid != nil:
 		gs := spec.Grid
-		g, err := graph.SegmentationGrid(gs.Width, gs.Height, gs.Eight, gs.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return solve.NewProblem(g, opts...)
+		return solve.FromSegmentationGrid(gs.Width, gs.Height, gs.Eight, gs.Seed, opts...)
 	default:
 		if spec.Source == nil || spec.Sink == nil {
 			return nil, fmt.Errorf("inline graph needs source and sink")

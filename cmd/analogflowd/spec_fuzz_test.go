@@ -22,7 +22,9 @@ const (
 // way the handlers do: strict JSON decoding, the declared-size check, and —
 // under the fuzz caps — the build.  No input may panic, and a build that
 // succeeds must match the size specSize declared for it, which is what the
-// per-problem and per-batch caps are checked against.
+// per-problem and per-batch caps are checked against.  The built graph and
+// its s-t core must pass Graph.Validate: the solve path no longer re-checks
+// them, so validity must hold by construction.
 func FuzzProblemSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		var spec problemSpec
@@ -44,15 +46,46 @@ func FuzzProblemSpec(f *testing.F) {
 			t.Fatalf("spec declared %d vertices and %d edges, built %d and %d",
 				vertices, edges, g.NumVertices(), g.NumEdges())
 		}
+		checkValid(t, p)
 	})
+}
+
+// checkValid asserts that a problem's graph and its s-t core pass
+// Graph.Validate.
+func checkValid(t *testing.T, p *solve.Problem) {
+	t.Helper()
+	if err := p.Graph().Validate(); err != nil {
+		t.Fatalf("built graph is invalid: %v", err)
+	}
+	core, _ := p.STCore()
+	if err := core.Validate(); err != nil {
+		t.Fatalf("s-t core is invalid: %v", err)
+	}
+}
+
+// TestRMATPresetEdgeBound pins the R-MAT edge bound specSize relies on in
+// place of a per-problem edge cap: at every power-of-two vertex count up to
+// the vertex cap, both presets declare at most maxVertices +
+// rmat.MaxPathEdges edges.  A preset that grows fails here.
+func TestRMATPresetEdgeBound(t *testing.T) {
+	for v := 2; v <= maxVertices; v *= 2 {
+		for _, sparse := range []bool{false, true} {
+			_, edges, err := specSize(problemSpec{RMAT: &rmatSpec{Vertices: v, Sparse: sparse}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if edges > maxVertices+rmat.MaxPathEdges {
+				t.Errorf("%d vertices, sparse %v: declares %d edges, above %d", v, sparse, edges, maxVertices+rmat.MaxPathEdges)
+			}
+		}
+	}
 }
 
 // TestSpecSizeCountsRMATPathEdges pins the R-MAT declaration to an upper
 // bound: specSize declares the preset's edges plus the rmat.MaxPathEdges the
 // generator may add for an s-t path.  A batch whose declared edges reach the
 // aggregate budget exactly without those path edges is therefore refused
-// before anything is built.  (No accepted vertex count lets one R-MAT preset
-// reach the per-problem edge cap, so the budget is the cap in reach.)
+// before anything is built.
 func TestSpecSizeCountsRMATPathEdges(t *testing.T) {
 	r := &rmatSpec{Vertices: 2, Sparse: true, Seed: 1}
 	if _, edges, err := specSize(problemSpec{RMAT: r}); err != nil || edges != r.params().Edges+rmat.MaxPathEdges {
@@ -72,7 +105,8 @@ func TestSpecSizeCountsRMATPathEdges(t *testing.T) {
 // array of {"edge","capacity"} mutations and the object form with
 // "updates", "add_edges" and "remove_edges" — into stepSpec.step(), then
 // derives the stepped problem from a small base the way Service.Update does.
-// No input may panic: every defect must come back as an error.
+// No input may panic: every defect must come back as an error, and every
+// derived problem's graph and s-t core must pass Graph.Validate.
 func FuzzStepSpec(f *testing.F) {
 	base, err := solve.NewProblem(graph.PaperFigure5())
 	if err != nil {
@@ -92,9 +126,12 @@ func FuzzStepSpec(f *testing.F) {
 			if p, err = p.WithUpdate(st.capacity); err != nil {
 				return
 			}
+			checkValid(t, p)
 		}
 		if st.structural != nil {
-			_, _ = p.WithStructuralUpdate(*st.structural)
+			if p, err = p.WithStructuralUpdate(*st.structural); err == nil {
+				checkValid(t, p)
+			}
 		}
 	})
 }

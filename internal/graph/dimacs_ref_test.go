@@ -174,6 +174,10 @@ func checkAgainstReference(t *testing.T, text string) {
 	if err := sameGraph(got, want); err != nil {
 		t.Fatalf("graph differs from the reference: %v; text %q", err, text)
 	}
+	// The solve path trusts an accepted graph without re-validating it.
+	if err := got.Validate(); err != nil {
+		t.Fatalf("accepted an invalid graph: %v; text %q", err, text)
+	}
 	n, m, ok := DIMACSSize(text)
 	if !ok || n != want.NumVertices() || m != want.NumEdges() {
 		t.Fatalf("DIMACSSize = %d, %d, %v; built graph has %d vertices, %d edges", n, m, ok, want.NumVertices(), want.NumEdges())
@@ -183,7 +187,8 @@ func checkAgainstReference(t *testing.T, text string) {
 // FuzzReadDIMACS is the differential fuzzer of the reader against the
 // reference; its seed corpus (testdata/fuzz/FuzzReadDIMACS) covers every
 // white-space class, the numeric spellings strconv accepts, designator and
-// range errors and lying problem lines, and runs in every go test.
+// range errors and lying problem lines, and runs in every go test.  Every
+// graph the reader accepts must also pass Graph.Validate.
 func FuzzReadDIMACS(f *testing.F) {
 	f.Add("c analogflow max-flow instance\np max 4 3\nn 1 s\nn 4 t\na 1 2 2\na 2 3 1.5\na 3 4 1\n")
 	f.Fuzz(func(t *testing.T, text string) {

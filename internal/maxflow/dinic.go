@@ -22,7 +22,7 @@ func SolveDinicContext(ctx context.Context, g *graph.Graph) (*graph.Flow, error)
 	if err := checkSolvable(g); err != nil {
 		return nil, err
 	}
-	r := newResidualPooled(g)
+	r := newResidual(g)
 	defer r.release()
 	if err := runDinic(ctx, r); err != nil {
 		return nil, err
@@ -164,7 +164,7 @@ func SolveEdmondsKarpContext(ctx context.Context, g *graph.Graph) (*graph.Flow, 
 	if err := checkSolvable(g); err != nil {
 		return nil, err
 	}
-	r := newResidualPooled(g)
+	r := newResidual(g)
 	defer r.release()
 	if err := runEdmondsKarp(ctx, r); err != nil {
 		return nil, err

@@ -43,6 +43,23 @@ func TestSolveNilGraph(t *testing.T) {
 	}
 }
 
+// TestSolveZeroValueGraph pins the one invalid graph the graph package's API
+// can produce, the zero value: the kernels no longer run Graph.Validate, so
+// checkSolvable must still refuse it.
+func TestSolveZeroValueGraph(t *testing.T) {
+	if _, err := NewNetwork(&graph.Graph{}); err == nil {
+		t.Error("NewNetwork accepted the zero-value graph")
+	}
+	if _, err := SolveDinic(&graph.Graph{}); err == nil {
+		t.Error("SolveDinic accepted the zero-value graph")
+	}
+	for _, alg := range allAlgorithms {
+		if _, err := Solve(&graph.Graph{}, alg); err == nil {
+			t.Errorf("%v accepted the zero-value graph", alg)
+		}
+	}
+}
+
 func TestPaperFigure5(t *testing.T) {
 	g := graph.PaperFigure5()
 	for _, alg := range allAlgorithms {

@@ -34,12 +34,22 @@ type Network struct {
 // happens when the residual state and the graph disagree structurally.
 var ErrCannotDrain = errors.New("maxflow: cannot drain capacity overflow")
 
-// NewNetwork builds a zero-flow residual network for g.
+// NewNetwork builds a zero-flow residual network for g on pooled arrays.  A
+// caller that is done with the network hands them back through Release; a
+// network that is kept keeps its arrays.
 func NewNetwork(g *graph.Graph) (*Network, error) {
 	if err := checkSolvable(g); err != nil {
 		return nil, err
 	}
 	return &Network{g: g, r: newResidual(g)}, nil
+}
+
+// Release returns the network's residual arrays to the pool that NewNetwork
+// and the one-shot solvers draw from.  The network must not be used
+// afterwards.  Flows it returned stay valid: Solve and Flow copy them out.
+func (n *Network) Release() {
+	n.r.release()
+	n.r = nil
 }
 
 // Graph returns the graph whose capacities the network currently reflects.
@@ -173,28 +183,8 @@ func (n *Network) UpdateTo(g2 *graph.Graph) error {
 			return fmt.Errorf("maxflow: updated graph edge %d (%d->%d) does not match the network's edge list", i, e.From, e.To)
 		}
 	}
-	eps := epsilonFor(r.maxArcCapacity())
-	// Pass 1: apply every capacity change that keeps the current flow
-	// feasible; collect the edges whose flow now overflows the new capacity.
-	var overflow []int
-	for i := 0; i < ne; i++ {
-		oldCap := r.arcs[2*i].cap + r.arcs[2*i+1].cap
-		newCap := g2.Edge(i).Capacity
-		if oldCap == newCap {
-			continue
-		}
-		forward := r.arcs[2*i].cap + (newCap - oldCap)
-		if forward >= 0 {
-			r.arcs[2*i].cap = forward
-		} else {
-			overflow = append(overflow, i)
-		}
-	}
-	// Pass 2: drain the overflowing edges.
-	for _, i := range overflow {
-		if err := n.drain(i, g2.Edge(i).Capacity, eps); err != nil {
-			return err
-		}
+	if err := n.retarget(g2, ne); err != nil {
+		return err
 	}
 	n.g = g2
 	return nil
@@ -228,33 +218,22 @@ func (n *Network) StructureTo(g2 *graph.Graph) error {
 		e := g2.Edge(i)
 		r.arcs = append(r.arcs, arc{to: e.To, cap: e.Capacity}, arc{to: e.From, cap: 0})
 	}
-	// Rebuild the CSR adjacency with the same descending-arc-order fill as
-	// newResidual, so traversal order — and hence flow routing — matches a
-	// residual network built fresh for g2.
-	deg := make([]int, r.n)
-	for i := 0; i < ne; i++ {
-		e := g2.Edge(i)
-		deg[e.From]++
-		deg[e.To]++
-	}
-	r.adj = make([]int32, 2*ne)
-	for v := 0; v < r.n; v++ {
-		r.off[v+1] = r.off[v] + deg[v]
-	}
-	pos := make([]int, r.n)
-	copy(pos, r.off)
-	for a := 2*ne - 1; a >= 0; a-- {
-		tail := r.tail(a)
-		r.adj[pos[tail]] = int32(a)
-		pos[tail]++
-	}
+	// The same fill as newResidual, so traversal order — and hence flow
+	// routing — matches a residual network built fresh for g2.
+	r.fillAdjacency(g2)
 	r.gdeps = g2
 	n.g = g2
-	// Capacity deltas on the pre-existing edges follow the UpdateTo
-	// discipline: widen in place first, then drain the overflowing edges.
+	return n.retarget(g2, oldNE)
+}
+
+// retarget applies g2's capacities to the first ne edges' arcs: every
+// change that keeps the current flow feasible is applied in place first,
+// then the edges whose flow overflows their new capacity are drained.
+func (n *Network) retarget(g2 *graph.Graph, ne int) error {
+	r := n.r
 	eps := epsilonFor(r.maxArcCapacity())
 	var overflow []int
-	for i := 0; i < oldNE; i++ {
+	for i := 0; i < ne; i++ {
 		oldCap := r.arcs[2*i].cap + r.arcs[2*i+1].cap
 		newCap := g2.Edge(i).Capacity
 		if oldCap == newCap {

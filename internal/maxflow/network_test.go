@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,6 +54,46 @@ func TestNetworkColdMatchesSolve(t *testing.T) {
 					t.Fatalf("%s on %v: edge %d flow %g, direct %g", alg, g, i, got.Edge[i], want.Edge[i])
 				}
 			}
+		}
+	}
+}
+
+// TestNetworkReleaseKeepsFlows releases solved networks and solves other
+// graphs on the recycled arrays: every flow a released network returned must
+// stay unchanged, and every network built on recycled arrays must solve
+// exactly as a package-level solve does.
+func TestNetworkReleaseKeepsFlows(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.MustSegmentationGrid(12, 10, false, 1),
+		rmat.MustGenerate(rmat.SparseParams(64, 3)),
+		graph.PaperFigure5(),
+		graph.MustSegmentationGrid(9, 9, true, 2),
+	}
+	var flows []*graph.Flow
+	var kept [][]float64
+	for round := 0; round < 2; round++ {
+		for _, g := range graphs {
+			for _, alg := range []Algorithm{Dinic, EdmondsKarp, PushRelabel} {
+				net, err := NewNetwork(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := net.Solve(context.Background(), alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.Release()
+				if want := solveOrFatal(t, g, alg); !slices.Equal(f.Edge, want.Edge) {
+					t.Fatalf("%s on %v: flows on recycled arrays differ from a direct solve", alg, g)
+				}
+				flows = append(flows, f)
+				kept = append(kept, slices.Clone(f.Edge))
+			}
+		}
+	}
+	for k, f := range flows {
+		if !slices.Equal(f.Edge, kept[k]) {
+			t.Fatalf("flow %d changed after its network was released", k)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package maxflow
 
-import (
-	"sync"
-
-	"analogflow/internal/graph"
-)
+import "sync"
 
 // Pooled scratch for the solver hot paths.  At 10^5–10^6 vertices the
 // per-solve working set of each kernel is tens of megabytes; re-allocating it
@@ -134,29 +130,15 @@ func putIntScratch(s []int) {
 }
 
 // residualPool recycles whole residual networks — the arc array is by far
-// the largest allocation of a one-shot solve.  Only the one-shot entry
-// points (SolveContext and friends) draw from it; Network retains its
-// residual indefinitely and allocates a fresh one.
+// the largest allocation of a solve.  newResidual draws from it; the
+// one-shot entry points (SolveContext and friends) and Network.Release hand
+// residuals back.
 var residualPool sync.Pool
 
-// newResidualPooled is newResidual backed by pooled arrays.  The caller must
-// call release once the residual (and anything aliasing its arrays) is dead;
-// flow() copies its result out, so releasing after flow() is safe.
-func newResidualPooled(g *graph.Graph) *residual {
-	r, _ := residualPool.Get().(*residual)
-	if r == nil {
-		r = &residual{pooled: true}
-	}
-	r.init(g)
-	return r
-}
-
-// release returns a pooled residual's arrays to the pool.  It is a no-op for
-// residuals built by newResidual, so callers may release unconditionally.
+// release returns the residual's arrays to the pool.  The residual (and
+// anything aliasing its arrays) must be dead; flow() copies its result out,
+// so releasing after flow() is safe.
 func (r *residual) release() {
-	if r == nil || !r.pooled {
-		return
-	}
 	r.gdeps = nil
 	residualPool.Put(r)
 }

@@ -30,7 +30,7 @@ func SolvePushRelabelContext(ctx context.Context, g *graph.Graph) (*graph.Flow, 
 	if err := checkSolvable(g); err != nil {
 		return nil, err
 	}
-	r := newResidualPooled(g)
+	r := newResidual(g)
 	defer r.release()
 	if err := runPushRelabel(ctx, r); err != nil {
 		return nil, err

@@ -28,6 +28,7 @@ func SolvePushRelabelFIFOContext(ctx context.Context, g *graph.Graph) (*graph.Fl
 		return nil, err
 	}
 	r := newResidual(g)
+	defer r.release()
 	if err := runPushRelabelFIFO(ctx, r); err != nil {
 		return nil, err
 	}

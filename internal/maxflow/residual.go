@@ -87,60 +87,55 @@ type residual struct {
 	adj   []int32 // flat arc indices grouped by tail vertex
 	off   []int   // len n+1; adjacency bounds per vertex
 	gdeps *graph.Graph
-	// pooled marks residuals drawn from residualPool (see pools.go); only
-	// those are returned by release.
-	pooled bool
 }
 
 // tail returns the tail vertex of arc a (the head of its paired reverse).
 func (r *residual) tail(a int) int { return r.arcs[a^1].to }
 
-// newResidual builds the residual network of g with freshly allocated
-// arrays.  Network uses this constructor because it retains the residual
-// indefinitely; one-shot solves go through newResidualPooled instead.
+// newResidual builds the zero-flow residual network of g on arrays drawn
+// from residualPool (see pools.go).  Callers that are done with it hand the
+// arrays back through release; one that is never released is simply
+// collected.
 func newResidual(g *graph.Graph) *residual {
-	r := &residual{}
-	r.init(g)
-	return r
-}
-
-// init (re)builds the residual network of g in place, reusing any backing
-// arrays the receiver already holds.
-func (r *residual) init(g *graph.Graph) {
+	r, _ := residualPool.Get().(*residual)
+	if r == nil {
+		r = &residual{}
+	}
 	ne := g.NumEdges()
-	n := g.NumVertices()
-	r.n = n
+	r.n = g.NumVertices()
 	r.s = g.Source()
 	r.t = g.Sink()
 	r.gdeps = g
 	r.arcs = growSlice(r.arcs, 2*ne)
-	r.adj = growSlice(r.adj, 2*ne)
-	r.off = growSlice(r.off, n+1)
-	deg := getIntScratch(n)
-	for v := range deg {
-		deg[v] = 0
-	}
 	for i := 0; i < ne; i++ {
 		e := g.Edge(i)
 		r.arcs[2*i] = arc{to: e.To, cap: e.Capacity}
 		r.arcs[2*i+1] = arc{to: e.From, cap: 0}
-		deg[e.From]++
-		deg[e.To]++
 	}
+	r.fillAdjacency(g)
+	return r
+}
+
+// fillAdjacency (re)builds the CSR adjacency of r.arcs, which must pair
+// g's edges in order.  g's own adjacency gives every vertex's degree, and
+// each vertex's segment is filled in descending arc order by scanning the
+// arcs from the highest index down.  The arrays are reused when their
+// capacity suffices.
+func (r *residual) fillAdjacency(g *graph.Graph) {
+	r.adj = growSlice(r.adj, len(r.arcs))
+	r.off = growSlice(r.off, r.n+1)
 	r.off[0] = 0
-	for v := 0; v < n; v++ {
-		r.off[v+1] = r.off[v] + deg[v]
+	for v := 0; v < r.n; v++ {
+		r.off[v+1] = r.off[v] + g.Degree(v)
 	}
-	// Fill each vertex's segment in descending arc order by scanning the arcs
-	// from the highest index down.
-	pos := deg // reuse the scratch: copy offsets over the spent degree counts
-	copy(pos, r.off[:n])
-	for a := 2*ne - 1; a >= 0; a-- {
+	pos := getIntScratch(r.n)
+	copy(pos, r.off[:r.n])
+	for a := len(r.arcs) - 1; a >= 0; a-- {
 		tail := r.tail(a)
 		r.adj[pos[tail]] = int32(a)
 		pos[tail]++
 	}
-	putIntScratch(deg)
+	putIntScratch(pos)
 }
 
 // flow extracts the per-edge flow from the residual state: the flow on graph
@@ -184,13 +179,17 @@ func epsilonFor(c float64) float64 {
 	return c * 1e-12
 }
 
-// checkSolvable validates the instance before running any algorithm.
+// checkSolvable rejects the two graphs the kernels cannot run on: nil, and
+// one with fewer than two vertices, which only the zero value graph.Graph{}
+// can be.  Every other graph is valid by construction: graph.New,
+// graph.FromEdges and each mutator check what they add, so the kernels do
+// not re-run Graph.Validate per solve.
 func checkSolvable(g *graph.Graph) error {
 	if g == nil {
 		return errors.New("maxflow: nil graph")
 	}
-	if err := g.Validate(); err != nil {
-		return err
+	if g.NumVertices() < 2 {
+		return g.Validate()
 	}
 	return nil
 }

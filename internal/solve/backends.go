@@ -181,12 +181,15 @@ func reportFromCore(name string, res *core.Result) *Report {
 // kernel defect still shows as a non-zero relative error.  Dinic is itself
 // the reference: its value seeds the problem's exact memo.
 //
-// It is Warmable: an instance keeps the residual network of its last solve,
-// so a capacity-only update drains/extends the residual and re-augments
-// instead of re-solving from scratch.  A warm re-solve reaches exactly the
-// cold maximum value (the optimum is unique); the per-edge assignment it
-// recovers is a — possibly different — optimal flow, because augmentation
-// order from a warm residual differs from a cold run (docs/solver.md).
+// It is Warmable: an update-capable instance keeps the residual network of
+// its last solve, so a capacity-only update drains/extends the residual and
+// re-augments instead of re-solving from scratch.  A warm re-solve reaches
+// exactly the cold maximum value (the optimum is unique); the per-edge
+// assignment it recovers is a — possibly different — optimal flow, because
+// augmentation order from a warm residual differs from a cold run
+// (docs/solver.md).  A one-shot instance is never updated, so it hands its
+// residual back to maxflow's pool once the certificate has read it and
+// answers repeats from the stored flow.
 type cpuSolver struct {
 	alg  maxflow.Algorithm
 	desc string
@@ -195,14 +198,14 @@ type cpuSolver struct {
 func (c *cpuSolver) Name() string     { return c.alg.String() }
 func (c *cpuSolver) Describe() string { return c.desc }
 
-// NewInstance returns a warm residual-network instance.  The one-shot Solve
-// below runs a fresh instance too, so cached and uncached solves report
-// identically.
+// NewInstance returns a one-shot instance.  The one-shot Solve below runs a
+// fresh one too, so cached and uncached solves report identically.
 func (c *cpuSolver) NewInstance(p *Problem) (Instance, error) {
-	return &cpuInstance{alg: c.alg, name: c.Name(), p: p}, nil
+	return &cpuInstance{alg: c.alg, name: c.Name(), p: p, oneShot: true}, nil
 }
 
-// NewUpdatableInstance: cpu instances are always update-absorbing.
+// NewUpdatableInstance returns an instance that keeps its residual network
+// for Update.
 func (c *cpuSolver) NewUpdatableInstance(p *Problem) (UpdatableInstance, error) {
 	return &cpuInstance{alg: c.alg, name: c.Name(), p: p}, nil
 }
@@ -212,6 +215,10 @@ func (c *cpuSolver) NewUpdatableInstance(p *Problem) (UpdatableInstance, error) 
 type cpuInstance struct {
 	alg  maxflow.Algorithm
 	name string
+	// oneShot instances release the residual right after the solve and its
+	// certificate: only update chains call Update, so nothing reads it
+	// again.
+	oneShot bool
 
 	mu     sync.Mutex
 	p      *Problem
@@ -228,14 +235,14 @@ func (i *cpuInstance) Solve(ctx context.Context) (*Report, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	coreG, pr := i.p.STCore()
-	if i.net == nil {
-		net, err := maxflow.NewNetwork(coreG)
-		if err != nil {
-			return nil, err
-		}
-		i.net = net
-	}
 	if !i.solved {
+		if i.net == nil {
+			net, err := maxflow.NewNetwork(coreG)
+			if err != nil {
+				return nil, err
+			}
+			i.net = net
+		}
 		start := time.Now()
 		f, err := i.net.Solve(ctx, i.alg)
 		if err != nil {
@@ -244,7 +251,7 @@ func (i *cpuInstance) Solve(ctx context.Context) (*Report, error) {
 			// leaves a preflow, not a feasible flow.  Drop the warm state
 			// so the next request re-solves from scratch instead of
 			// silently augmenting a corrupted network.
-			i.net, i.flow, i.solved = nil, nil, false
+			i.dropNet()
 			return nil, err
 		}
 		i.flow, i.elapsed = f, time.Since(start)
@@ -253,6 +260,11 @@ func (i *cpuInstance) Solve(ctx context.Context) (*Report, error) {
 		// round-off only.
 		tol := 1e-9 * math.Max(1, math.Abs(f.Value))
 		i.certified = i.alg != maxflow.Dinic && i.net.Certify(f.Value, tol) == nil
+		if i.oneShot {
+			// The flow is a copy, so a repeat answers from it.
+			i.net.Release()
+			i.net = nil
+		}
 	}
 	if i.alg == maxflow.Dinic {
 		// A Dinic solve of the core is bit-identical to the reference
@@ -300,7 +312,7 @@ func (i *cpuInstance) Update(p *Problem) error {
 		// The residual may have absorbed part of the pass before failing; it
 		// is no longer trustworthy for either problem, so drop the warm
 		// state — the instance stays valid for its base problem, just cold.
-		i.net, i.flow, i.solved = nil, nil, false
+		i.dropNet()
 		return fmt.Errorf("%w: %v", ErrIncompatibleUpdate, err)
 	}
 	i.p = p
@@ -308,10 +320,16 @@ func (i *cpuInstance) Update(p *Problem) error {
 	return nil
 }
 
+// dropNet discards the warm state and returns the residual to the pool.
+func (i *cpuInstance) dropNet() {
+	i.net.Release()
+	i.net, i.flow, i.solved = nil, nil, false
+}
+
 // Solve runs a fresh instance: the registry and the service share one
 // report path, exact-value handling included.
 func (c *cpuSolver) Solve(ctx context.Context, p *Problem) (*Report, error) {
-	return (&cpuInstance{alg: c.alg, name: c.Name(), p: p}).Solve(ctx)
+	return (&cpuInstance{alg: c.alg, name: c.Name(), p: p, oneShot: true}).Solve(ctx)
 }
 
 // expandedFlowReport maps a core-domain flow back onto the original graph

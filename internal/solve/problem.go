@@ -13,6 +13,7 @@ import (
 	"analogflow/internal/core"
 	"analogflow/internal/decompose"
 	"analogflow/internal/graph"
+	"analogflow/internal/rmat"
 )
 
 // ValidationError is the typed error every Problem constructor returns for a
@@ -51,6 +52,11 @@ type Problem struct {
 	params core.Params
 	dec    decompose.Options
 	budget Budget
+	// spec is the domain-tagged input of the generator that built g (see
+	// FromRMAT and FromSegmentationGrid), which Fingerprint hashes in place
+	// of the edge list; "" keys the problem by content.  A derived problem
+	// never carries it.
+	spec string
 
 	pipe pipeline
 }
@@ -79,11 +85,13 @@ func WithBudget(b Budget) Option {
 	return func(pr *Problem) { pr.budget = b }
 }
 
-// NewProblem validates g and the configuration and returns the problem.
-// All structural defects — a nil graph, a graph whose source equals its sink
-// (graph.ErrSameSourceSink), out-of-range endpoints, negative capacities,
-// inconsistent parameters — surface here as a *ValidationError, so backends
-// can assume a well-formed instance.
+// NewProblem validates the configuration and returns the problem over g.
+// The graph is valid by construction: graph.New, graph.FromEdges and every
+// mutator reject a bad endpoint, a self loop, a negative or non-finite
+// capacity and equal terminals as they build, so NewProblem checks only
+// what construction cannot rule out — a nil graph and the zero value
+// graph.Graph{}.  Those and inconsistent parameters surface here as a
+// *ValidationError, so backends can assume a well-formed instance.
 func NewProblem(g *graph.Graph, opts ...Option) (*Problem, error) {
 	p := &Problem{
 		g:      g,
@@ -96,8 +104,8 @@ func NewProblem(g *graph.Graph, opts ...Option) (*Problem, error) {
 	if g == nil {
 		return nil, invalid("nil graph", nil)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, invalid("graph validation failed", err)
+	if g.NumVertices() < 2 {
+		return nil, invalid("graph validation failed", g.Validate())
 	}
 	if err := p.params.Validate(); err != nil {
 		return nil, invalid("substrate parameters", err)
@@ -303,6 +311,44 @@ func FromDIMACS(r io.Reader, opts ...Option) (*Problem, error) {
 	return NewProblem(g, opts...)
 }
 
+// specTag opens every spec key.  Read as the leading little-endian vertex
+// count of a content hash's input, its first eight bytes exceed any graph
+// that fits in memory, so a spec key and a content hash never share an
+// input.
+const specTag = "analogflow/spec|"
+
+// FromRMAT generates the R-MAT instance p describes (rmat.Generate) into a
+// Problem.  The generator is deterministic, so the problem's fingerprint
+// keys it by p — every field — instead of hashing the generated edge list.
+func FromRMAT(p rmat.Params, opts ...Option) (*Problem, error) {
+	g, err := rmat.Generate(p)
+	if err != nil {
+		return nil, invalid("R-MAT generation failed", err)
+	}
+	return withSpec(g, fmt.Sprintf("rmat:%#v", p), opts)
+}
+
+// FromSegmentationGrid builds graph.SegmentationGrid(width, height, eight,
+// seed) into a Problem whose fingerprint is keyed by those four inputs
+// instead of the generated edge list.
+func FromSegmentationGrid(width, height int, eight bool, seed int64, opts ...Option) (*Problem, error) {
+	g, err := graph.SegmentationGrid(width, height, eight, seed)
+	if err != nil {
+		return nil, invalid("grid generation failed", err)
+	}
+	return withSpec(g, fmt.Sprintf("grid:%d:%d:%t:%d", width, height, eight, seed), opts)
+}
+
+// withSpec is NewProblem for a generator-built graph keyed by spec.
+func withSpec(g *graph.Graph, spec string, opts []Option) (*Problem, error) {
+	p, err := NewProblem(g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	p.spec = specTag + spec
+	return p, nil
+}
+
 // Graph returns the problem's graph.  Callers must not mutate it.
 func (p *Problem) Graph() *graph.Graph { return p.g }
 
@@ -323,13 +369,18 @@ const fingerprintChunk = 32 << 10
 // configuration (function-valued hooks) unique instead of wrongly shared.
 var fingerprintNonce atomic.Int64
 
-// Fingerprint returns a content hash identifying the problem for the
-// one-shot instance cache: two problems with the same graph (vertices,
-// terminals, edge list with capacities) and the same configuration share a
-// fingerprint (a derived problem carries a chained one instead; see
-// WithUpdate).  The
-// configuration part hashes the rendered parameter struct, so it is stable
-// within a process — which is all the in-memory instance cache needs.
+// Fingerprint returns a hash identifying the problem for the one-shot
+// instance cache.  It covers the instance and the configuration.  The
+// instance part is the generator's input for a problem built by FromRMAT or
+// FromSegmentationGrid (the generators are deterministic, so equal input
+// means an equal graph), and the content — vertices, terminals, edge list
+// with capacities, parked slots — for every other problem.  Two problems
+// keyed the same way with the same instance and configuration share a
+// fingerprint; a spec-built problem never shares one with a content-keyed
+// problem over an equal graph, and a derived problem carries a chained one
+// instead (see WithUpdate).  The configuration part hashes the rendered
+// parameter struct, so it is stable within a process — which is all the
+// in-memory instance cache needs.
 // Function-valued hooks (builder.Options.PerturbResistance) have no
 // comparable content; a problem carrying one gets a process-unique
 // fingerprint so the warm-instance cache can never alias two different
@@ -337,37 +388,11 @@ var fingerprintNonce atomic.Int64
 func (p *Problem) Fingerprint() string {
 	p.pipe.fpOnce.Do(func() {
 		h := sha256.New()
-		// The fields are little-endian words, written to the hash in
-		// fingerprintChunk-byte blocks rather than one word at a time.
-		buf := make([]byte, 0, fingerprintChunk)
-		put := func(v uint64) {
-			if len(buf) == cap(buf) {
-				h.Write(buf)
-				buf = buf[:0]
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, v)
+		if p.spec != "" {
+			io.WriteString(h, p.spec)
+		} else {
+			p.hashContent(h)
 		}
-		put(uint64(p.g.NumVertices()))
-		put(uint64(p.g.Source()))
-		put(uint64(p.g.Sink()))
-		put(uint64(p.g.NumEdges()))
-		for i := 0; i < p.g.NumEdges(); i++ {
-			e := p.g.Edge(i)
-			put(uint64(e.From))
-			put(uint64(e.To))
-			put(math.Float64bits(e.Capacity))
-		}
-		// Parked slots are structurally resident but carry no flow; a parked
-		// edge and an ordinary capacity-0 edge hash identically above, yet
-		// their instances differ (the slot survives pruning and reserves a
-		// pattern position), so the parked set joins the hash.
-		if np := p.g.NumParked(); np > 0 {
-			put(uint64(np))
-			for _, i := range p.g.ParkedEdges() {
-				put(uint64(i))
-			}
-		}
-		h.Write(buf)
 		params := p.params
 		// The mode field is ignored by WithParams (each analog backend
 		// forces its own); hashing it would fragment the warm-instance
@@ -395,4 +420,38 @@ func (p *Problem) Fingerprint() string {
 		p.pipe.fp = hex.EncodeToString(h.Sum(nil)[:16])
 	})
 	return p.pipe.fp
+}
+
+// hashContent writes the graph's content to h as little-endian words, in
+// fingerprintChunk-byte blocks rather than one word at a time.
+func (p *Problem) hashContent(h io.Writer) {
+	buf := make([]byte, 0, fingerprintChunk)
+	put := func(v uint64) {
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	put(uint64(p.g.NumVertices()))
+	put(uint64(p.g.Source()))
+	put(uint64(p.g.Sink()))
+	put(uint64(p.g.NumEdges()))
+	for i := 0; i < p.g.NumEdges(); i++ {
+		e := p.g.Edge(i)
+		put(uint64(e.From))
+		put(uint64(e.To))
+		put(math.Float64bits(e.Capacity))
+	}
+	// Parked slots are structurally resident but carry no flow; a parked
+	// edge and an ordinary capacity-0 edge hash identically above, yet
+	// their instances differ (the slot survives pruning and reserves a
+	// pattern position), so the parked set joins the hash.
+	if np := p.g.NumParked(); np > 0 {
+		put(uint64(np))
+		for _, i := range p.g.ParkedEdges() {
+			put(uint64(i))
+		}
+	}
+	h.Write(buf)
 }

@@ -128,6 +128,11 @@ func TestNewProblemValidation(t *testing.T) {
 	if _, err := NewProblem(nil); err == nil || !errors.As(err, &verr) {
 		t.Fatalf("nil graph: want *ValidationError, got %v", err)
 	}
+	// The zero value is the one invalid graph the graph package's API can
+	// produce; every constructor validates what it builds.
+	if _, err := NewProblem(&graph.Graph{}); err == nil || !errors.As(err, &verr) {
+		t.Fatalf("zero-value graph: want *ValidationError, got %v", err)
+	}
 	bad := core.DefaultParams()
 	bad.VflowMultiplier = -1
 	if _, err := NewProblem(graph.PaperFigure5(), WithParams(bad)); err == nil || !errors.As(err, &verr) {
