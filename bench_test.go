@@ -295,18 +295,40 @@ func BenchmarkUpdateResolve(b *testing.B) {
 // (no stranded vertex), which is exactly the regime where parks and reclaims
 // must stay value-level; every step asserts warm == cold flow values, and the
 // warm-fraction metric exposes a lost structural warm path to the CI bench
-// smoke alongside the speedup.
+// smoke alongside the speedup.  dinic and behavioral churn the dense R-MAT
+// 960 instance; push-relabel churns a 96x96 segmentation grid, the largest
+// graph an update session of perfbench's session-churn workload steps, so
+// its warm-ns/step tracks the per-step cost of deriving a problem from a
+// large base.  The grid's capacities are scaled by 1000 and rounded up to
+// integers, so its warm and cold flow values compare exactly too.
 func BenchmarkStructuralUpdateResolve(b *testing.B) {
-	base := rmat.MustGenerate(rmat.DenseParams(960, 1))
-	// Park target whose slot stays resident in the prune: parking it is a
-	// pure value-level structural update.
-	target := experiments.SlotStableParkTarget(base)
-	if target < 0 {
-		b.Fatal("no slot-stable park target on this instance")
+	dense := rmat.MustGenerate(rmat.DenseParams(960, 1))
+	grid := graph.MustSegmentationGrid(96, 96, false, 4)
+	caps := make([]float64, grid.NumEdges())
+	for i := range caps {
+		caps[i] = math.Ceil(1000 * grid.Edge(i).Capacity)
 	}
-	reAdd := base.Edge(target)
+	grid, err := grid.WithCapacities(caps)
+	if err != nil {
+		b.Fatal(err)
+	}
 	params := core.DefaultParams()
-	for _, backend := range []string{"dinic", "behavioral"} {
+	for _, leg := range []struct {
+		backend string
+		base    *graph.Graph
+	}{
+		{"dinic", dense},
+		{"behavioral", dense},
+		{"push-relabel", grid},
+	} {
+		backend, base := leg.backend, leg.base
+		// Park target whose slot stays resident in the prune: parking it is
+		// a pure value-level structural update.
+		target := experiments.SlotStableParkTarget(base)
+		if target < 0 {
+			b.Fatal("no slot-stable park target on this instance")
+		}
+		reAdd := base.Edge(target)
 		b.Run(backend, func(b *testing.B) {
 			svc := solve.NewService(solve.Config{Workers: 1})
 			reg := solve.DefaultRegistry()

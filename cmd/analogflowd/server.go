@@ -1063,26 +1063,32 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// One validation pass before streaming starts, so malformed requests get
-	// a clean 400 instead of a mid-stream error record.  Structural steps
-	// change the edge list, so later steps cannot be checked against the
-	// session's current graph; instead the chain is replayed on a scratch
-	// clone, which applies exactly the validation (bounds, duplicates,
-	// emptiness, negativity) each step will see when it runs for real.  Only
-	// dynamic failures (solver errors, slack exhaustion) surface as stream
-	// records.
-	sim := sess.problem.Graph().Clone()
+	// a clean 400 instead of a mid-stream error record.  Each step is checked
+	// exactly as it will be when it runs for real (bounds, duplicates,
+	// emptiness, negativity).  No check reads a capacity, and
+	// CapacityUpdate.Validate reads only the edge count, so capacity steps
+	// are checked without being applied: a request of capacity steps is
+	// checked against the session's graph itself.  Structural steps change
+	// the edge list and the parked slots, so from the first one on the
+	// request is replayed on a scratch clone (which copies the edge list,
+	// not the adjacency).  Only dynamic failures (solver errors, slack
+	// exhaustion) surface as stream records.
+	sim, cloned := sess.problem.Graph(), false
 	for i, st := range steps {
 		if len(st.capacity.Edges) == 0 && st.structural == nil {
 			s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: step %d: empty update step", i)
 			return
 		}
 		if len(st.capacity.Edges) > 0 {
-			if _, err := sim.ApplyCapacityUpdate(st.capacity); err != nil {
+			if err := st.capacity.Validate(sim); err != nil {
 				s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: step %d: %v", i, err)
 				return
 			}
 		}
 		if st.structural != nil {
+			if !cloned {
+				sim, cloned = sim.Clone(), true
+			}
 			if _, err := sim.ApplyStructuralUpdate(*st.structural); err != nil {
 				s.writeAPIError(w, http.StatusBadRequest, codeBadRequest, "bad request: step %d: %v", i, err)
 				return

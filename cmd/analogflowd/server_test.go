@@ -831,6 +831,10 @@ func TestSessionBadRequests(t *testing.T) {
 		{"empty step", `{"steps":[[]]}`, http.StatusBadRequest},
 		{"edge out of range", `{"updates":[{"edge":99,"capacity":1}]}`, http.StatusBadRequest},
 		{"negative capacity", `{"updates":[{"edge":0,"capacity":-1}]}`, http.StatusBadRequest},
+		// Later steps are checked against the graph the earlier ones leave.
+		{"capacity step before the append it names", `{"steps":[{"updates":[{"edge":5,"capacity":1}]},{"add_edges":[[0,2,1]]}]}`, http.StatusBadRequest},
+		{"edge parked by an earlier step", `{"steps":[{"remove_edges":[1]},{"updates":[{"edge":0,"capacity":2}]},{"remove_edges":[1]}]}`, http.StatusBadRequest},
+		{"capacity step after the append it names", `{"steps":[{"add_edges":[[0,2,1]]},{"updates":[{"edge":5,"capacity":1}]}]}`, http.StatusOK},
 	} {
 		t.Run("update/"+tc.name, func(t *testing.T) {
 			r := postJSON(t, srv.URL+"/v1/sessions/"+created.SessionID+"/update", tc.body)

@@ -83,6 +83,28 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestPrepareZeroValueGraph carries maxflow's TestSolveZeroValueGraph over
+// to the preprocessing front half: PrepareWithCore no longer runs
+// Graph.Validate, so it must still refuse nil and the zero-value graph, the
+// latter with Validate's own error, whether or not pruning is on.
+func TestPrepareZeroValueGraph(t *testing.T) {
+	zero := &graph.Graph{}
+	want := zero.Validate()
+	noPrune := DefaultParams()
+	noPrune.PruneGraph = false
+	for _, p := range []Params{DefaultParams(), noPrune} {
+		if _, err := Prepare(nil, p); err == nil {
+			t.Errorf("prune %v: Prepare accepted a nil graph", p.PruneGraph)
+		}
+		if _, err := Prepare(zero, p); err == nil || err.Error() != want.Error() {
+			t.Errorf("prune %v: Prepare of the zero-value graph: %v, want %v", p.PruneGraph, err, want)
+		}
+		if _, err := PrepareWithCore(zero, nil, new(ExactMemo), p); err == nil || err.Error() != want.Error() {
+			t.Errorf("prune %v: PrepareWithCore of the zero-value graph: %v, want %v", p.PruneGraph, err, want)
+		}
+	}
+}
+
 func TestBehavioralFigure5(t *testing.T) {
 	s, err := NewSolver(DefaultParams())
 	if err != nil {

@@ -354,13 +354,15 @@ func Prepare(g *graph.Graph, p Params) (*Prepared, error) {
 // of internal/solve — share both, so the prune and the reference solve each
 // run once per instance.  pr1 is ignored when the parameters disable
 // pruning, and computed on demand when they enable it and pr1 is nil; a nil
-// exact gives the bundle a private memo.
+// exact gives the bundle a private memo.  The graph is valid by
+// construction (see solve.NewProblem), so only nil and the zero value
+// graph.Graph{} are refused, the latter with Validate's own error.
 func PrepareWithCore(g *graph.Graph, pr1 *graph.PruneResult, exact *ExactMemo, p Params) (*Prepared, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	if g.NumVertices() < 2 {
+		return nil, g.Validate()
 	}
 	if !p.PruneGraph {
 		pr1 = nil

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -32,6 +33,13 @@ type Edge struct {
 
 // Graph is a directed flow network.  The zero value is an empty graph with no
 // vertices; use New to create a graph with a fixed vertex count.
+//
+// Adjacency laid out by FromEdges or Clone is frozen: out and in are the two
+// halves of one header array (so out has spare capacity, which is how
+// frozen tells), and every list is clipped to its length.  A frozen graph
+// may share both header arrays and every list with its clones, so nothing
+// writes them in place: appendEdge first gives the graph private header
+// arrays, and an append to a clipped list reallocates it.
 type Graph struct {
 	n      int
 	edges  []Edge
@@ -47,6 +55,8 @@ type Graph struct {
 	// later unpark (StructuralUpdate.AddEdges reclaiming the slot) stay a pure
 	// value-level update through every layer.  nil when no edge is parked.
 	parked []bool
+	// nParked counts the true flags of parked.
+	nParked int
 }
 
 // Common errors returned by graph constructors and validators.
@@ -62,14 +72,8 @@ var (
 
 // New returns an empty graph with n vertices, source s and sink t.
 func New(n, s, t int) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: need at least 2 vertices, got %d", n)
-	}
-	if s < 0 || s >= n || t < 0 || t >= n {
-		return nil, ErrVertexRange
-	}
-	if s == t {
-		return nil, ErrSameSourceSink
+	if err := checkShape(n, s, t); err != nil {
+		return nil, err
 	}
 	return &Graph{
 		n:      n,
@@ -79,6 +83,30 @@ func New(n, s, t int) (*Graph, error) {
 		sink:   t,
 	}, nil
 }
+
+// checkShape is New's validation of the vertex count and the terminals.
+func checkShape(n, s, t int) error {
+	if n < 2 {
+		return fmt.Errorf("graph: need at least 2 vertices, got %d", n)
+	}
+	if s < 0 || s >= n || t < 0 || t >= n {
+		return ErrVertexRange
+	}
+	if s == t {
+		return ErrSameSourceSink
+	}
+	return nil
+}
+
+// frozenHeaders allocates the out and in header arrays of a frozen layout
+// for n vertices, as the two halves of one array.
+func frozenHeaders(n int) (out, in [][]int) {
+	h := make([][]int, 2*n)
+	return h[:n], h[n:]
+}
+
+// frozen reports whether g's adjacency is frozen (see Graph).
+func (g *Graph) frozen() bool { return cap(g.out) > len(g.out) }
 
 // MustNew is New but panics on error.  Intended for tests and examples where
 // the arguments are literals.
@@ -150,13 +178,29 @@ func checkCapacity(c float64) error {
 // finite reports whether c is neither NaN nor ±Inf.
 func finite(c float64) bool { return c >= -math.MaxFloat64 && c <= math.MaxFloat64 }
 
-// appendEdge appends a validated edge and its adjacency entries.
+// appendEdge appends a validated edge and its adjacency entries.  On a
+// frozen graph it first copies both header arrays, with every list clipped
+// to its length, so no write reaches a clone that shares them.
 func (g *Graph) appendEdge(e Edge) int {
+	if g.frozen() {
+		g.thaw()
+	}
 	idx := len(g.edges)
 	g.edges = append(g.edges, e)
 	g.out[e.From] = append(g.out[e.From], idx)
 	g.in[e.To] = append(g.in[e.To], idx)
 	return idx
+}
+
+// thaw gives g private copies of both header arrays, with every list
+// clipped to its length, so the next append to any list reallocates it.
+func (g *Graph) thaw() {
+	out, in := make([][]int, g.n), make([][]int, g.n)
+	for v := range out {
+		o, i := g.out[v], g.in[v]
+		out[v], in[v] = o[:len(o):len(o)], i[:len(i):len(i)]
+	}
+	g.out, g.in = out, in
 }
 
 // EdgeError reports the edge FromEdges rejected: its index in the input and
@@ -173,17 +217,18 @@ func (e *EdgeError) Unwrap() error { return e.Err }
 
 // FromEdges builds the graph with n vertices, source s, sink t and the given
 // edges in order, with exact-capacity adjacency lists allocated once (one
-// shared backing array each, the layout Clone copies).  ReadDIMACS,
-// rmat.Generate, Grid, LongPath and the s-t-core prune build through it.
-// It validates every edge exactly as AddEdge does and reports the first
-// rejected one as an *EdgeError; the terminals are checked first, as New
-// checks them.  On success the graph owns the backing array of edges, so
-// the caller must not modify it afterwards.
+// shared backing array each): the frozen layout, which Clone shares instead
+// of copying.  ReadDIMACS, rmat.Generate, Grid, LongPath and the s-t-core
+// prune build through it.  It validates every edge exactly as AddEdge does
+// and reports the first rejected one as an *EdgeError; the terminals are
+// checked first, as New checks them.  On success the graph owns the backing
+// array of edges, so the caller must not modify it afterwards.
 func FromEdges(n, s, t int, edges []Edge) (*Graph, error) {
-	g, err := New(n, s, t)
-	if err != nil {
+	if err := checkShape(n, s, t); err != nil {
 		return nil, err
 	}
+	g := &Graph{n: n, source: s, sink: t}
+	g.out, g.in = frozenHeaders(n)
 	// next[v] and next[n+v] first count v's out- and in-edges, then hold
 	// where v's next out- and in-entry goes in the flat adjacency arrays.
 	next := make([]int, 2*n)
@@ -235,19 +280,14 @@ func (g *Graph) ParkedEdge(i int) bool {
 }
 
 // NumParked returns the number of parked edges.
-func (g *Graph) NumParked() int {
-	n := 0
-	for _, p := range g.parked {
-		if p {
-			n++
-		}
-	}
-	return n
-}
+func (g *Graph) NumParked() int { return g.nParked }
 
 // ParkedEdges returns the indices of all parked edges in ascending order.
 func (g *Graph) ParkedEdges() []int {
-	var out []int
+	if g.nParked == 0 {
+		return nil
+	}
+	out := make([]int, 0, g.nParked)
 	for i, p := range g.parked {
 		if p {
 			out = append(out, i)
@@ -256,27 +296,26 @@ func (g *Graph) ParkedEdges() []int {
 	return out
 }
 
-// setParked flips the parked flag of edge i, materialising the flag slice on
+// setParked sets the parked flag of edge i, materialising the flag slice on
 // first use and releasing it when the last flag clears.
 func (g *Graph) setParked(i int, parked bool) {
+	if g.ParkedEdge(i) == parked {
+		return
+	}
 	if !parked {
-		if g.parked == nil || i >= len(g.parked) {
-			return
-		}
 		g.parked[i] = false
-		if g.NumParked() == 0 {
+		if g.nParked--; g.nParked == 0 {
 			g.parked = nil
 		}
 		return
 	}
-	if g.parked == nil {
-		g.parked = make([]bool, len(g.edges))
-	} else if len(g.parked) < len(g.edges) {
+	if len(g.parked) < len(g.edges) {
 		grown := make([]bool, len(g.edges))
 		copy(grown, g.parked)
 		g.parked = grown
 	}
 	g.parked[i] = true
+	g.nParked++
 }
 
 // MustAddEdge is AddEdge but panics on error.
@@ -346,26 +385,30 @@ func (g *Graph) SourceCapacity() float64 {
 	return c
 }
 
-// Clone returns a deep copy of the graph.  The adjacency lists are packed
-// into two shared backing arrays (full-length sub-slices, so a later AddEdge
-// on the clone reallocates the grown list instead of clobbering a neighbour),
-// which keeps the copy at a handful of allocations instead of two per vertex
-// — Clone sits under WithCapacities in the per-instance hot path of the
-// experiment sweeps.
+// Clone returns a copy of the graph that shares no mutable state with it:
+// adding edges, retargeting capacities or parking edges on either graph
+// leaves the other unchanged, and Clone writes nothing to its receiver.
+// The edge list and the parked flags are copied.  Frozen adjacency (see
+// Graph) is shared, since neither graph writes it in place, so cloning a
+// graph built by FromEdges, Clone or the s-t-core prune costs O(|E|) and
+// copies no topology; that is what keeps the derived problems of an update
+// chain and WithCapacities cheap.  A graph still being built with New and
+// AddEdge has its lists copied into the frozen layout, two backing arrays
+// in all.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		n:      g.n,
-		edges:  make([]Edge, len(g.edges)),
-		out:    make([][]int, g.n),
-		in:     make([][]int, g.n),
-		source: g.source,
-		sink:   g.sink,
+		n:       g.n,
+		edges:   slices.Clone(g.edges), // no zeroing pass, unlike make+copy
+		source:  g.source,
+		sink:    g.sink,
+		parked:  slices.Clone(g.parked),
+		nParked: g.nParked,
 	}
-	copy(c.edges, g.edges)
-	if g.parked != nil {
-		c.parked = make([]bool, len(g.parked))
-		copy(c.parked, g.parked)
+	if g.frozen() {
+		c.out, c.in = g.out, g.in
+		return c
 	}
+	c.out, c.in = frozenHeaders(g.n)
 	backing := make([]int, 2*len(g.edges))
 	outFlat, inFlat := backing[:len(g.edges)], backing[len(g.edges):]
 	pos := 0
@@ -386,8 +429,10 @@ func (g *Graph) Clone() *Graph {
 }
 
 // WithCapacities returns a copy of the graph whose edge capacities are
-// replaced by caps (indexed by edge index).  It is used by the quantizer,
-// which rewrites capacities onto discrete voltage levels.
+// replaced by caps (indexed by edge index); the parked flags carry over.
+// It is a Clone, so on frozen adjacency it copies only the edge list and
+// the flags.  The quantizer uses it to rewrite capacities onto discrete
+// voltage levels.
 func (g *Graph) WithCapacities(caps []float64) (*Graph, error) {
 	if len(caps) != len(g.edges) {
 		return nil, fmt.Errorf("graph: capacity slice has %d entries, graph has %d edges", len(caps), len(g.edges))

@@ -4,6 +4,8 @@ import "fmt"
 
 // PruneResult is the outcome of PruneToSTCore: the reduced graph plus the
 // mappings needed to translate solutions back to the original instance.
+// PruneToSTCoreFrom shares a seed's maps with its result, so every field is
+// read-only.
 type PruneResult struct {
 	// Graph is the pruned graph.  When PruneToSTCore removes nothing it is
 	// the input graph itself (with identity maps), so callers must treat it
@@ -34,7 +36,24 @@ type PruneResult struct {
 // edge is kept — the result's Graph is g itself with identity maps instead
 // of a copy.  Segmentation grids are the common case.
 func PruneToSTCore(g *Graph) *PruneResult {
-	return pruneToSTCore(g, nil)
+	return pruneToSTCore(g, nil, nil)
+}
+
+// PruneToSTCoreFrom returns what PruneToSTCore(g) returns, given seed, the
+// prune of a graph g derives from by value-level steps: the same vertex
+// count, terminals and edge list up to capacities and parked flags.  Both
+// reachability passes run, and when g keeps exactly seed's vertices and
+// edges the result shares seed's maps and its core is seed's core cloned
+// (sharing its frozen adjacency) with g's capacities and parked flags,
+// instead of a core rebuilt through FromEdges.  With keepsSeed the caller
+// asserts that g keeps seed's vertices and edges — no capacity crossed zero
+// and no flag changed since seed — and the passes are skipped.  A nil seed
+// is PruneToSTCore.
+func PruneToSTCoreFrom(g *Graph, seed *PruneResult, keepsSeed bool) *PruneResult {
+	if seed != nil && keepsSeed {
+		return seed.rebase(g)
+	}
+	return pruneToSTCore(g, nil, seed)
 }
 
 // PruneToSTCoreWithCapacities prunes g as if edge i had capacity caps[i],
@@ -51,10 +70,12 @@ func PruneToSTCoreWithCapacities(g *Graph, caps []float64) (*PruneResult, error)
 			return nil, ErrNegativeCapacity
 		}
 	}
-	return pruneToSTCore(g, caps), nil
+	return pruneToSTCore(g, caps, nil), nil
 }
 
-func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
+// pruneToSTCore prunes g under caps (nil: g's own capacities), reusing seed
+// (see PruneToSTCoreFrom) when the kept vertices and edges match its maps.
+func pruneToSTCore(g *Graph, caps []float64, seed *PruneResult) *PruneResult {
 	n := g.NumVertices()
 	capOf := func(i int) float64 {
 		if caps == nil {
@@ -122,6 +143,17 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 	keepVertex[g.Source()] = true
 	keepVertex[g.Sink()] = true
 
+	// A parked edge whose endpoints are both alive survives as a structural
+	// slot (capacity 0, parked flag carried into the pruned graph), so a
+	// later unpark re-stamps values without changing the edge map.
+	keepEdge := func(i int, e Edge) bool {
+		return keepVertex[e.From] && keepVertex[e.To] &&
+			e.To != g.Source() && e.From != g.Sink() && (capOf(i) > 0 || g.ParkedEdge(i))
+	}
+	if seed != nil && seed.keeps(g, keepEdge) {
+		return seed.rebase(g)
+	}
+
 	res := &PruneResult{VertexMap: make([]int, 0, n)}
 	newIndex := growInts(sc.newIndex, n) // fully overwritten by the next loop
 	sc.newIndex = newIndex
@@ -137,14 +169,7 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 		}
 	}
 	// Prepass: count surviving edges so the rebuilt graph's edges are staged
-	// in one exactly sized slice.  A parked edge whose endpoints are both
-	// alive survives as a structural slot (capacity 0, parked flag carried
-	// into the pruned graph), so a later unpark re-stamps values without
-	// changing the edge map.
-	keepEdge := func(i int, e Edge) bool {
-		return keepVertex[e.From] && keepVertex[e.To] &&
-			e.To != g.Source() && e.From != g.Sink() && (capOf(i) > 0 || g.ParkedEdge(i))
-	}
+	// in one exactly sized slice.
 	kept := 0
 	for i, ne := 0, g.NumEdges(); i < ne; i++ {
 		if keepEdge(i, g.Edge(i)) {
@@ -182,6 +207,45 @@ func pruneToSTCore(g *Graph, caps []float64) *PruneResult {
 	}
 	res.Graph = pruned
 	return res
+}
+
+// keeps reports whether r's edge map lists exactly the edges of g that
+// keepEdge keeps.  The kept vertices follow: they are the terminals and the
+// endpoints of kept edges, since a kept non-terminal vertex lies on an s-t
+// path of kept edges.
+func (r *PruneResult) keeps(g *Graph, keepEdge func(int, Edge) bool) bool {
+	j := 0
+	for i, e := range g.edges {
+		if keepEdge(i, e) {
+			if j == len(r.EdgeMap) || r.EdgeMap[j] != i {
+				return false
+			}
+			j++
+		}
+	}
+	return j == len(r.EdgeMap)
+}
+
+// rebase returns r for g, a graph that keeps r's vertices and edges: the
+// maps and counts are r's, and the core is g itself when r kept everything
+// (as PruneToSTCore returns it), or else r's core cloned with g's
+// capacities and parked flags.
+func (r *PruneResult) rebase(g *Graph) *PruneResult {
+	out := *r
+	if len(r.VertexMap) == g.n && len(r.EdgeMap) == len(g.edges) {
+		out.Graph = g
+		return &out
+	}
+	core := r.Graph.Clone()
+	core.parked, core.nParked = nil, 0
+	for j, i := range r.EdgeMap {
+		core.edges[j].Capacity = g.edges[i].Capacity
+		if g.ParkedEdge(i) {
+			core.setParked(j, true)
+		}
+	}
+	out.Graph = core
+	return &out
 }
 
 // SamePruneEdges reports whether two prune results keep exactly the same

@@ -156,8 +156,8 @@ func (g *Graph) ApplyStructuralUpdate(u StructuralUpdate) (*StructuralRecord, er
 	}
 	for k, e := range u.AddEdges {
 		idx := -1
-		for _, p := range g.ParkedEdges() {
-			if pe := g.edges[p]; pe.From == e.From && pe.To == e.To {
+		for p, parked := range g.parked {
+			if pe := g.edges[p]; parked && pe.From == e.From && pe.To == e.To {
 				idx = p
 				break
 			}

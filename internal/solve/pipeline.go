@@ -30,6 +30,12 @@ type pipeline struct {
 	pruneOnce sync.Once
 	prune     *graph.PruneResult // nil when pruning is disabled
 	coreG     *graph.Graph
+	// seed is the base problem's prune result for a value-level
+	// derivative (see WithUpdate), and keepsSeed that the derivation moved
+	// no capacity across zero; the prune stage reads both once and drops
+	// the seed, so no chain keeps its history alive.
+	seed      *graph.PruneResult
+	keepsSeed bool
 
 	prepOnce sync.Once
 	prep     *core.Prepared
@@ -54,15 +60,18 @@ type partKey struct {
 // STCore returns the prune stage's output: the s-t core of the graph and the
 // prune mapping needed to expand core-domain flows back to the original edge
 // indexing.  When the problem's parameters disable pruning the original
-// graph is returned with a nil mapping.
+// graph is returned with a nil mapping.  A derived problem prunes from its
+// base's result (graph.PruneToSTCoreFrom), so a step that keeps the core's
+// vertices and edges re-stamps values instead of rebuilding the core.
 func (p *Problem) STCore() (*graph.Graph, *graph.PruneResult) {
 	p.pipe.pruneOnce.Do(func() {
 		if !p.params.PruneGraph {
 			p.pipe.coreG = p.g
 			return
 		}
-		p.pipe.prune = graph.PruneToSTCore(p.g)
+		p.pipe.prune = graph.PruneToSTCoreFrom(p.g, p.pipe.seed, p.pipe.keepsSeed)
 		p.pipe.coreG = p.pipe.prune.Graph
+		p.pipe.seed = nil
 	})
 	return p.pipe.coreG, p.pipe.prune
 }

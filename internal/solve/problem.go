@@ -121,8 +121,9 @@ func NewProblem(g *graph.Graph, opts ...Option) (*Problem, error) {
 
 // WithUpdate derives the problem that results from applying a validated
 // capacity-only update to this one.  The receiver is never mutated: the graph
-// is cloned (one allocation pass) and patched, so in-flight solves of the old
-// problem stay valid and a session can keep a whole chain of problems alive.
+// is cloned (graph.Graph.Clone copies the edge list and shares the frozen
+// adjacency) and patched, so in-flight solves of the old problem stay valid
+// and a session can keep a whole chain of problems alive.
 //
 // Three artifacts are carried over instead of recomputed:
 //
@@ -134,13 +135,14 @@ func NewProblem(g *graph.Graph, opts ...Option) (*Problem, error) {
 //     of its own.  (Update chains key their warm state by problem, not by
 //     fingerprint.)
 //
-//   - When no capacity crossed zero, the s-t core of the base problem is
-//     structurally valid for the update (pruning depends on capacities only
-//     through positivity), so the prune stage is seeded with a
-//     capacity-patched copy of the base core instead of re-running the
-//     reachability passes.  When the base core is the base graph itself
-//     (nothing was pruned), the patched clone is already that copy and
-//     seeds the core directly.
+//   - The prune stage is seeded with the base's s-t core
+//     (graph.PruneToSTCoreFrom).  Pruning depends on capacities only
+//     through positivity, so when no capacity crossed zero the core keeps
+//     its vertices and edges and is re-stamped with the new capacities
+//     without the reachability passes; otherwise the passes run, and the
+//     core is still re-stamped rather than rebuilt when they keep the same
+//     vertices and edges.  When the base core is the base graph itself
+//     (nothing was pruned), the derived core is the derived graph.
 //
 //   - The memoised partitions are inherited unconditionally: a capacity
 //     update never changes adjacency, so BFS partitions are identical by
@@ -179,35 +181,7 @@ func (p *Problem) WithUpdate(u graph.CapacityUpdate) (*Problem, error) {
 	fp := hex.EncodeToString(h.Sum(nil)[:16])
 	p2.pipe.fpOnce.Do(func() { p2.pipe.fp = fp })
 
-	// Prune-stage reuse: positivity unchanged ⇒ the core's vertex and edge
-	// sets are unchanged, only capacity values moved.
-	if !rec.PositivityChanged && p.params.PruneGraph {
-		_, pr := p.STCore()
-		if pr != nil {
-			core2 := g2
-			if pr.Graph != p.g {
-				newCaps := make([]float64, len(pr.EdgeMap))
-				for i, orig := range pr.EdgeMap {
-					newCaps[i] = g2.Edge(orig).Capacity
-				}
-				if core2, err = pr.Graph.WithCapacities(newCaps); err != nil {
-					return nil, invalid("capacity update", err)
-				}
-			}
-			pr2 := &graph.PruneResult{
-				Graph:           core2,
-				EdgeMap:         pr.EdgeMap,
-				VertexMap:       pr.VertexMap,
-				RemovedEdges:    pr.RemovedEdges,
-				RemovedVertices: pr.RemovedVertices,
-			}
-			p2.pipe.pruneOnce.Do(func() {
-				p2.pipe.prune = pr2
-				p2.pipe.coreG = core2
-			})
-		}
-	}
-
+	p2.seedPrune(p, !rec.PositivityChanged)
 	p2.inheritPartitions(p)
 	return p2, nil
 }
@@ -220,12 +194,19 @@ func (p *Problem) WithUpdate(u graph.CapacityUpdate) (*Problem, error) {
 //
 // Removals park their edges (capacity 0, slot resident); insertions reclaim a
 // parked slot with matching endpoints when one exists and append a genuinely
-// new edge otherwise (see graph.ApplyStructuralUpdate).  Two artifacts are
+// new edge otherwise (see graph.ApplyStructuralUpdate).  Three artifacts are
 // carried over:
 //
 //   - The fingerprint is chained — hash(base fingerprint, update) — exactly
 //     like WithUpdate's, under a distinct domain tag so a structural step can
 //     never alias a capacity step of equal bytes.
+//
+//   - A step that appends no edge only moves capacities and parked flags,
+//     so its prune stage is seeded with the base's s-t core like a
+//     WithUpdate step whose capacities crossed zero: the reachability passes
+//     run (a park can strand a branch, a reclaim can revive one), and the
+//     core is re-stamped rather than rebuilt when they keep the same
+//     vertices and edges.  A step that appends prunes from scratch.
 //
 //   - The memoised partitions are inherited: partitions assign vertices to
 //     regions and a structural update never adds vertices, so every inherited
@@ -234,16 +215,13 @@ func (p *Problem) WithUpdate(u graph.CapacityUpdate) (*Problem, error) {
 //     chain's oracle (analogflow_region_cold_rebuilds_total) while every
 //     untouched region keeps its warm instance and consensus state, which is
 //     the selective invalidation sharded structural steps need.
-//
-// The prune stage is NOT seeded: topology moved, so the s-t core must be
-// recomputed from scratch (a park can strand a branch, an insertion can revive
-// one).
 func (p *Problem) WithStructuralUpdate(u graph.StructuralUpdate) (*Problem, error) {
 	if err := u.Validate(p.g); err != nil {
 		return nil, invalid("structural update", err)
 	}
 	g2 := p.g.Clone()
-	if _, err := g2.ApplyStructuralUpdate(u); err != nil {
+	rec, err := g2.ApplyStructuralUpdate(u)
+	if err != nil {
 		return nil, invalid("structural update", err)
 	}
 	p2 := &Problem{g: g2, params: p.params, dec: p.dec, budget: p.budget}
@@ -276,8 +254,21 @@ func (p *Problem) WithStructuralUpdate(u graph.StructuralUpdate) (*Problem, erro
 	fp := hex.EncodeToString(h.Sum(nil)[:16])
 	p2.pipe.fpOnce.Do(func() { p2.pipe.fp = fp })
 
+	if len(rec.Appended) == 0 {
+		p2.seedPrune(p, false)
+	}
 	p2.inheritPartitions(p)
 	return p2, nil
+}
+
+// seedPrune hands base's prune result to p's prune stage, which p derives
+// from base by value-level steps; keepsSeed reports that no capacity
+// crossed zero (see graph.PruneToSTCoreFrom).
+func (p *Problem) seedPrune(base *Problem, keepsSeed bool) {
+	if p.params.PruneGraph {
+		_, p.pipe.seed = base.STCore()
+		p.pipe.keepsSeed = keepsSeed
+	}
 }
 
 // inheritPartitions copies base's memoised partitions into p.  Partitions are

@@ -3,6 +3,7 @@ package solve
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"analogflow/internal/core"
@@ -496,5 +497,86 @@ func TestServiceStructuralSlackExhaustionPin(t *testing.T) {
 	}
 	if got := MetricValue(t, svc, "analogflow_slack_exhausted_rebuilds_total"); got != 1 {
 		t.Errorf("slack-exhausted rebuilds grew to %v, want to stay at 1", got)
+	}
+}
+
+// TestDerivedProblemsSeedTheirPrune runs a chain of derived problems —
+// capacity steps that keep positivity and that cross zero, a park and a
+// reclaim of a slot-stable edge, and an appending insertion — and checks
+// each derived problem's s-t core against a fresh graph.PruneToSTCore of
+// its graph, field by field.  Steps that keep the core must share their
+// base's maps (the seeded re-stamp, not a rebuild), and no problem may hold
+// its seed once its core exists.
+func TestDerivedProblemsSeedTheirPrune(t *testing.T) {
+	g := rmat.MustGenerate(rmat.SparseParams(200, 7))
+	base, err := NewProblem(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pr := base.STCore()
+	park := -1
+	for i := 0; i < g.NumEdges() && park < 0; i++ {
+		c := g.Clone()
+		if _, err := c.ApplyStructuralUpdate(graph.StructuralUpdate{RemoveEdges: []int{i}}); err == nil &&
+			graph.SamePruneEdges(pr, graph.PruneToSTCore(c)) {
+			park = i
+		}
+	}
+	if park < 0 {
+		t.Fatal("no slot-stable park target")
+	}
+	kept, zeroed := pr.EdgeMap[0], pr.EdgeMap[1]
+	e := g.Edge(park)
+	steps := []struct {
+		name       string
+		capacity   graph.CapacityUpdate
+		structural *graph.StructuralUpdate
+		sameCore   bool
+	}{
+		{name: "retarget", capacity: graph.CapacityUpdate{Edges: []int{kept}, Capacities: []float64{g.Edge(kept).Capacity + 3}}, sameCore: true},
+		{name: "to zero", capacity: graph.CapacityUpdate{Edges: []int{zeroed}, Capacities: []float64{0}}},
+		{name: "from zero", capacity: graph.CapacityUpdate{Edges: []int{zeroed}, Capacities: []float64{4}}},
+		{name: "park", structural: &graph.StructuralUpdate{RemoveEdges: []int{park}}, sameCore: true},
+		{name: "reclaim", structural: &graph.StructuralUpdate{AddEdges: []graph.Edge{e}}, sameCore: true},
+		{name: "append", structural: &graph.StructuralUpdate{AddEdges: []graph.Edge{{From: g.Source(), To: e.To, Capacity: 2}}}},
+	}
+	prev := base
+	for _, st := range steps {
+		var next *Problem
+		if st.structural != nil {
+			next, err = prev.WithStructuralUpdate(*st.structural)
+		} else {
+			next, err = prev.WithUpdate(st.capacity)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		coreG, got := next.STCore()
+		want := graph.PruneToSTCore(next.Graph())
+		if next.pipe.seed != nil {
+			t.Errorf("%s: the problem still holds its seed", st.name)
+		}
+		if coreG != got.Graph || (got.Graph == next.Graph()) != (want.Graph == next.Graph()) {
+			t.Errorf("%s: core identity differs from a fresh prune", st.name)
+		}
+		if !slices.Equal(got.EdgeMap, want.EdgeMap) || !slices.Equal(got.VertexMap, want.VertexMap) ||
+			got.RemovedEdges != want.RemovedEdges || got.RemovedVertices != want.RemovedVertices {
+			t.Fatalf("%s: maps or counts differ from a fresh prune", st.name)
+		}
+		gc, wc := got.Graph, want.Graph
+		if !slices.Equal(gc.Edges(), wc.Edges()) || !slices.Equal(gc.ParkedEdges(), wc.ParkedEdges()) ||
+			gc.Source() != wc.Source() || gc.Sink() != wc.Sink() || gc.NumVertices() != wc.NumVertices() {
+			t.Fatalf("%s: core edges, parked slots or terminals differ from a fresh prune", st.name)
+		}
+		for v := 0; v < gc.NumVertices(); v++ {
+			if !slices.Equal(gc.OutEdges(v), wc.OutEdges(v)) || !slices.Equal(gc.InEdges(v), wc.InEdges(v)) {
+				t.Fatalf("%s: core adjacency of vertex %d differs from a fresh prune", st.name, v)
+			}
+		}
+		_, prevPr := prev.STCore()
+		if shared := &got.VertexMap[0] == &prevPr.VertexMap[0]; shared != st.sameCore {
+			t.Errorf("%s: shares its base's maps: %v, want %v", st.name, shared, st.sameCore)
+		}
+		prev = next
 	}
 }
