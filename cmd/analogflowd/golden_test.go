@@ -81,6 +81,16 @@ func TestStreamGolden(t *testing.T) {
 		{"remove_edges":[2]},
 		{"updates":[{"edge":3,"capacity":4}],"add_edges":[[1,2,2]]},
 		[{"edge":0,"capacity":1.25}]]}`)
+	// A budgeted session rides the sharded warm path: edge 44 is a cross
+	// edge of the planned partition (it feeds the boundary wiring of its
+	// head), and edge 0 leaves the source.
+	post("sharded session create", "/v1/sessions",
+		`{"solver":"dinic","problem":{"rmat":{"vertices":200,"sparse":true,"seed":9}},"budget":{"max_vertices":80}}`)
+	post("sharded session steps", "/v1/sessions/s2/update", `{"steps":[
+		[{"edge":44,"capacity":0}],
+		[{"edge":44,"capacity":72}],
+		{"remove_edges":[0]},
+		{"add_edges":[[0,21,58]]}]}`)
 
 	path := filepath.Join("testdata", "stream_golden.txt")
 	if *updateStreamGolden {
