@@ -18,10 +18,12 @@
 package decompose
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"analogflow/internal/graph"
 	"analogflow/internal/maxflow"
@@ -171,10 +173,21 @@ type Result struct {
 // virtual edge capacities ARE the consensus boundary allowances, its owned
 // edge capacities record what the flow was computed against.  Flows[r] is the
 // flow of that solve — the region's last boundary reading.  Seeding re-imposes
-// the carried allowances on freshly built regions and replays Flows[r] for
-// every region whose subproblem is bit-identical to its last solve, so an
+// the carried allowances on the freshly stamped regions and replays Flows[r]
+// for every region whose subproblem is bit-identical to its last solve, so an
 // update chain's next step re-solves only the regions the capacity delta
 // actually touched.
+//
+// A WarmState also carries the run's region layout: everything about the
+// decomposition that capacities cannot change — edge ownership, the
+// consensus groups, each region's vertex maps and a frozen template of its
+// subproblem graph.  The next run reuses the layout when the graph's vertex
+// count, terminals, edge endpoints and parked edges and the partition
+// (compared by content) all match, and then re-stamps each region's
+// capacities onto its template instead of rebuilding it; a region whose
+// boundary wiring flips under the new capacities is rebuilt alone.  A
+// topology change, a park or reclaim, or another partition rebuilds the
+// whole layout.  Unseeded keeps the layout without the consensus seed.
 //
 // The carried allowances are BINDING at the previous consensus: they remain a
 // valid relaxation under capacity decreases, but a capacity increase can make
@@ -190,6 +203,18 @@ type Result struct {
 type WarmState struct {
 	Graphs []*graph.Graph
 	Flows  []*graph.Flow
+	layout *layout
+}
+
+// Unseeded returns a state that keeps w's region layout but no consensus
+// seed: a run given it starts from the structural relaxation exactly as a
+// run without WarmState does, and only skips rebuilding the layout when it
+// still fits.  A nil state gives nil.
+func (w *WarmState) Unseeded() *WarmState {
+	if w == nil {
+		return nil
+	}
+	return &WarmState{layout: w.layout}
 }
 
 // sameStructure reports whether two graphs share their topology (vertex
@@ -199,8 +224,8 @@ func sameStructure(a, b *graph.Graph) bool {
 		a.Source() != b.Source() || a.Sink() != b.Sink() {
 		return false
 	}
-	for i, e := range a.Edges() {
-		if o := b.Edge(i); e.From != o.From || e.To != o.To {
+	for i, m := 0, a.NumEdges(); i < m; i++ {
+		if e, o := a.Edge(i), b.Edge(i); e.From != o.From || e.To != o.To {
 			return false
 		}
 	}
@@ -226,34 +251,308 @@ func sameCapacities(g, ref *graph.Graph) bool {
 	return true
 }
 
-// region is one side of the decomposition with its vertex mapping.
-type region struct {
-	graph    *graph.Graph
-	localOf  []int // localOf[global] = local in-node index or -1
-	globalOf []int
-	overlap  []int // global ids of overlap vertices present in this region
+// layout is the capacity-independent part of a decomposition of one graph
+// topology under one partition, built once and reused by every run whose
+// graph and partition it fits (see WarmState).  It is never written after
+// the run that built it returns: a run that must rebuild a region of a
+// carried layout rebuilds it into a copy, so every WarmState holding a
+// layout stays valid.
+type layout struct {
+	// What the layout was built for: the vertex count, the terminals, the
+	// edge endpoints, the parked edges and a private copy of the partition.
+	n, source, sink int
+	ends            [][2]int
+	parked          []int
+	part            Partition
+
+	owner   []int // owner[ei] is the region materialising edge ei, or -1
+	groups  []overlapGroup
+	regions []*regionLayout
+}
+
+// regionLayout is one region's share of a layout.  The vertex maps and the
+// owned edges follow from the topology and the partition alone; the wiring,
+// the handles and the template are those of the region's last build (see
+// buildRegion), which holds until the boundary wiring flips.
+type regionLayout struct {
+	localOf []int // localOf[global] = local in-node index or -1
+	overlap []int // global ids of overlap vertices present in this region
 	// outOf[global] is the local node outgoing edges leave from: the ov_out
 	// half of a split overlap vertex, localOf[global] otherwise.
 	outOf map[int]int
-	// splitOf[ov] is the region-local index of the ov_in -> ov_out split
-	// edge whose capacity is the consensus throughput bound at ov.
+	// splits lists the split overlap vertices; splits[i] is split by
+	// region-local edge i, and splitOf inverts that.  The split edge's
+	// capacity is the consensus throughput bound at the vertex.
+	splits  []int
 	splitOf map[int]int
-	// virtualAt[ov] lists the region-local edge indices the consensus update
-	// retargets at overlap vertex ov: the split edge for interior overlap
-	// vertices, the virtual terminal edges for an overlap terminal (which is
-	// never split).
-	virtualAt map[int][]int
+	// owned lists the edges the region materialises, ascending: global edge
+	// owned[j] is region-local edge len(splits)+j.  parked lists the local
+	// indices of the parked ones.
+	owned  []int
+	parked []int
+	// nLocal counts the region's nodes; src and sink are its terminals, real
+	// or virtual.
+	nLocal, src, sink       int
+	hasRealSrc, hasRealSink bool
+
+	// wiring[i] is the virtual terminal edge overlap[i] gets in the template
+	// (wireNone, wireOutlet or wireInlet); the virtual edges follow the owned
+	// ones in overlap order.
+	wiring []uint8
+	// handles are the region-local edges the consensus update retargets: the
+	// split edge of every split vertex, the virtual terminal edge of an
+	// overlap terminal (which is never split).
+	handles []handle
+	// tmpl is the region's frozen subproblem graph as last built; runs
+	// re-stamp their capacities onto it, sharing its adjacency.
+	tmpl *graph.Graph
+}
+
+// handle is one consensus retarget handle: region-local edge edge carries
+// the allowance at overlap vertex ov.
+type handle struct{ ov, edge int }
+
+// Boundary wiring of an overlap vertex in one region (see buildRegion).
+const (
+	wireNone   uint8 = iota
+	wireOutlet       // ov_out -> sink node
+	wireInlet        // source node -> ov_in
+)
+
+// region is one region's subproblem in the current run: its layout and its
+// graph as currently retargeted.
+type region struct {
+	*regionLayout
+	graph *graph.Graph
+}
+
+// newLayout builds the layout of g under part.  Partition.Validate runs
+// here, once per layout; the templates are built by the first stamp.
+func newLayout(g *graph.Graph, part Partition) (*layout, error) {
+	if err := part.Validate(g); err != nil {
+		return nil, err
+	}
+	n, m := g.NumVertices(), g.NumEdges()
+	lay := &layout{
+		n: n, source: g.Source(), sink: g.Sink(),
+		ends:   make([][2]int, m),
+		parked: g.ParkedEdges(),
+		part:   part.clone(),
+		owner:  part.edgeOwners(g),
+	}
+	for i := range lay.ends {
+		e := g.Edge(i)
+		lay.ends[i] = [2]int{e.From, e.To}
+	}
+	shared := make([]int, n)
+	for _, in := range part.In {
+		for v, b := range in {
+			if b {
+				shared[v]++
+			}
+		}
+	}
+	lay.groups = part.overlapGroups(shared)
+	lay.regions = make([]*regionLayout, part.NumRegions())
+	for r := range lay.regions {
+		lay.regions[r] = newRegionLayout(g, part.In[r], r, lay.owner, shared)
+	}
+	return lay, nil
+}
+
+// fits reports whether l was built for g's topology and parked edges and
+// for a partition with part's content.
+func (l *layout) fits(g *graph.Graph, part Partition) bool {
+	if l == nil || l.n != g.NumVertices() || l.source != g.Source() || l.sink != g.Sink() ||
+		len(l.ends) != g.NumEdges() || len(l.parked) != g.NumParked() || !l.part.equal(part) {
+		return false
+	}
+	for i, ends := range l.ends {
+		if e := g.Edge(i); e.From != ends[0] || e.To != ends[1] {
+			return false
+		}
+	}
+	for _, ei := range l.parked {
+		if !g.ParkedEdge(ei) {
+			return false
+		}
+	}
+	return true
+}
+
+// newRegionLayout lays out region r (membership in) of g: its local nodes,
+// its split vertices and the edges it owns.
+func newRegionLayout(g *graph.Graph, in []bool, r int, owner, shared []int) *regionLayout {
+	n := g.NumVertices()
+	rl := &regionLayout{
+		localOf:     make([]int, n),
+		outOf:       make(map[int]int),
+		splitOf:     make(map[int]int),
+		hasRealSrc:  in[g.Source()],
+		hasRealSink: in[g.Sink()],
+	}
+	for v := 0; v < n; v++ {
+		rl.localOf[v] = -1
+		if in[v] {
+			rl.localOf[v] = rl.nLocal
+			rl.nLocal++
+			if shared[v] > 1 {
+				rl.overlap = append(rl.overlap, v)
+			}
+		}
+	}
+	// A region that lacks a terminal gets a virtual one appended; split
+	// overlap vertices get their out-half after that.
+	rl.src, rl.sink = rl.localOf[g.Source()], rl.localOf[g.Sink()]
+	if rl.src < 0 {
+		rl.src = rl.nLocal
+		rl.nLocal++
+	}
+	if rl.sink < 0 {
+		rl.sink = rl.nLocal
+		rl.nLocal++
+	}
+	for _, ov := range rl.overlap {
+		if ov == g.Source() || ov == g.Sink() {
+			continue
+		}
+		rl.outOf[ov] = rl.nLocal
+		rl.nLocal++
+		rl.splitOf[ov] = len(rl.splits)
+		rl.splits = append(rl.splits, ov)
+	}
+	for ei, o := range owner {
+		if o != r {
+			continue
+		}
+		if g.ParkedEdge(ei) {
+			rl.parked = append(rl.parked, len(rl.splits)+len(rl.owned))
+		}
+		rl.owned = append(rl.owned, ei)
+	}
+	return rl
 }
 
 // localOut returns the local node edges leaving global vertex v depart from.
-func (r *region) localOut(v int) int {
-	if out, ok := r.outOf[v]; ok {
+func (rl *regionLayout) localOut(v int) int {
+	if out, ok := rl.outOf[v]; ok {
 		return out
 	}
-	return r.localOf[v]
+	return rl.localOf[v]
 }
 
-// buildRegion extracts region r's subproblem graph.
+// stamp walks region r's edges in g once and returns this run's capacities
+// in region edge order — split edges, owned edges, then the virtual edges —
+// and the boundary wiring that order assumes.  The capacity and wiring
+// rules are buildRegion's.  A parked owned edge carries capacity 0.
+func (rl *regionLayout) stamp(g *graph.Graph, owner []int, r int, capFloor, capClamp float64) ([]float64, []uint8) {
+	nFixed := len(rl.splits) + len(rl.owned)
+	caps := make([]float64, nFixed, nFixed+len(rl.overlap))
+	for j, ei := range rl.owned {
+		if !g.ParkedEdge(ei) {
+			caps[len(rl.splits)+j] = g.Edge(ei).Capacity
+		}
+	}
+	wiring := make([]uint8, len(rl.overlap))
+	split := 0
+	for i, ov := range rl.overlap {
+		var totIn, totOut, inletCap, outletCap, ownedIn, ownedOut float64
+		for _, ei := range g.InEdges(ov) {
+			c := g.Edge(ei).Capacity
+			totIn += c
+			if owner[ei] == r {
+				ownedIn += c
+			} else {
+				inletCap += c
+			}
+		}
+		for _, ei := range g.OutEdges(ov) {
+			c := g.Edge(ei).Capacity
+			totOut += c
+			if owner[ei] == r {
+				ownedOut += c
+			} else {
+				outletCap += c
+			}
+		}
+		if ov != g.Source() && ov != g.Sink() {
+			caps[split] = math.Max(math.Min(math.Min(totIn, totOut), capClamp), capFloor)
+			split++
+		}
+		wireIn, wireOut := false, false
+		switch {
+		case ov == g.Source():
+			wireOut = true
+		case ov == g.Sink():
+			wireIn = true
+		case ownedIn == 0 && ownedOut == 0:
+			// A pure-relay vertex (the region owns none of its capacity):
+			// wire the side with more external capacity.
+			wireOut = outletCap > inletCap
+			wireIn = !wireOut
+		case ownedIn > ownedOut:
+			wireOut = true
+		default:
+			wireIn = true
+		}
+		// Virtual wiring must never touch a REAL terminal: an outlet edge in
+		// a region holding the real sink would dump boundary pass-through
+		// straight into t (counting flow that in truth leaves the region
+		// AWAY from the sink as delivered), and an inlet edge in a region
+		// holding the real source would draw fake supply from s.  A region
+		// holding a real terminal therefore degenerates to the classic
+		// one-sided construction — every boundary vertex an inlet when the
+		// sink is real, every one an outlet when the source is real — and
+		// the ownership orientation only decides the wiring of middle
+		// regions.
+		switch {
+		case rl.hasRealSrc && rl.hasRealSink:
+			wireIn, wireOut = false, false
+		case rl.hasRealSink:
+			wireOut = false
+			wireIn = inletCap > 0
+		case rl.hasRealSrc:
+			wireIn = false
+			wireOut = outletCap > 0
+		default:
+			// The chosen side may carry no external capacity (a boundary
+			// vertex whose cross edges all point the other way); fall back
+			// to the live side rather than leaving the vertex stranded.
+			if wireOut && !wireIn && outletCap == 0 {
+				wireIn, wireOut = true, false
+			} else if wireIn && !wireOut && inletCap == 0 {
+				wireIn, wireOut = false, true
+			}
+		}
+		if wireOut && outletCap > 0 && ov != g.Sink() {
+			wiring[i] = wireOutlet
+			caps = append(caps, math.Min(outletCap, capClamp))
+		}
+		if wireIn && inletCap > 0 && ov != g.Source() {
+			wiring[i] = wireInlet
+			caps = append(caps, math.Min(inletCap, capClamp))
+		}
+	}
+	return caps, wiring
+}
+
+// sameParked reports whether g parks exactly the template's parked edges.
+func (rl *regionLayout) sameParked(g *graph.Graph) bool {
+	if g.NumParked() != len(rl.parked) {
+		return false
+	}
+	for _, i := range rl.parked {
+		if !g.ParkedEdge(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// buildRegion returns a copy of rl whose template is region r's subproblem
+// graph for the given stamp of g: capacities caps and boundary wiring
+// wiring, as stamp computed them.  The template is frozen (graph.FromEdges)
+// and is never written afterwards.
 //
 // Every edge of g is materialised in exactly one region — its owner, the
 // lowest-index region containing both endpoints — at its full capacity; in
@@ -298,171 +597,172 @@ func (r *region) localOut(v int) int {
 // The global source and sink are never split (flow originates and terminates
 // there); when they appear as overlap vertices their virtual edges take the
 // split edge's place as the retarget handle.
-func buildRegion(g *graph.Graph, p Partition, r int, owner []int, capFloor, capClamp float64) (*region, error) {
-	n := g.NumVertices()
-	in := p.In[r]
-	reg := &region{
-		localOf:   make([]int, n),
-		outOf:     make(map[int]int),
-		splitOf:   make(map[int]int),
-		virtualAt: make(map[int][]int),
-	}
-	for v := 0; v < n; v++ {
-		reg.localOf[v] = -1
-	}
-	for v := 0; v < n; v++ {
-		if in[v] {
-			reg.localOf[v] = len(reg.globalOf)
-			reg.globalOf = append(reg.globalOf, v)
-			if p.regionsOf(v) > 1 {
-				reg.overlap = append(reg.overlap, v)
-			}
-		}
-	}
-	src := reg.localOf[g.Source()]
-	sink := reg.localOf[g.Sink()]
-	// A region that lacks a terminal gets a virtual one appended; split
-	// overlap vertices get their out-half after that.
-	nLocal := len(reg.globalOf)
-	if src < 0 {
-		src = nLocal
-		nLocal++
-	}
-	if sink < 0 {
-		sink = nLocal
-		nLocal++
-	}
-	var splitVerts []int
-	for _, ov := range reg.overlap {
-		if ov == g.Source() || ov == g.Sink() {
-			continue
-		}
-		reg.outOf[ov] = nLocal
-		nLocal++
-		splitVerts = append(splitVerts, ov)
-	}
-	rg, err := graph.New(nLocal, src, sink)
-	if err != nil {
-		return nil, err
-	}
+func (rl *regionLayout) buildRegion(g *graph.Graph, caps []float64, wiring []uint8) (*regionLayout, error) {
+	nSplit := len(rl.splits)
+	edges := make([]graph.Edge, len(caps))
+	handles := make([]handle, nSplit, nSplit+2)
 	// Split edges first: one per split overlap vertex, capacity = the
 	// vertex's global throughput bound (floored so a later retarget can
 	// never flip the edge's positivity).
-	for _, ov := range splitVerts {
-		var totIn, totOut float64
-		for _, ei := range g.InEdges(ov) {
-			totIn += g.Edge(ei).Capacity
-		}
-		for _, ei := range g.OutEdges(ov) {
-			totOut += g.Edge(ei).Capacity
-		}
-		capVal := math.Max(math.Min(math.Min(totIn, totOut), capClamp), capFloor)
-		idx := rg.MustAddEdge(reg.localOf[ov], reg.outOf[ov], capVal)
-		reg.splitOf[ov] = idx
-		reg.virtualAt[ov] = append(reg.virtualAt[ov], idx)
+	for i, ov := range rl.splits {
+		edges[i] = graph.Edge{From: rl.localOf[ov], To: rl.outOf[ov], Capacity: caps[i]}
+		handles[i] = handle{ov: ov, edge: i}
 	}
 	// Owned edges: tail's out-half -> head's in-half.  A parked edge stays
 	// structurally resident in its owning region — the slot carries no
 	// capacity, but keeping it in the region graph means the region's own
 	// prune and fingerprint see the same structural-slack pool the parent
 	// instance does.
-	for ei, e := range g.Edges() {
-		if owner[ei] != r {
-			continue
-		}
-		if g.ParkedEdge(ei) {
-			if _, err := rg.AddParkedEdge(reg.localOut(e.From), reg.localOf[e.To]); err != nil {
-				return nil, err
+	for j, ei := range rl.owned {
+		e := g.Edge(ei)
+		edges[nSplit+j] = graph.Edge{From: rl.localOut(e.From), To: rl.localOf[e.To], Capacity: caps[nSplit+j]}
+	}
+	// Boundary wiring: the virtual terminal edges stamp chose, in overlap
+	// order.
+	idx := nSplit + len(rl.owned)
+	for i, ov := range rl.overlap {
+		switch wiring[i] {
+		case wireOutlet:
+			edges[idx] = graph.Edge{From: rl.localOut(ov), To: rl.sink, Capacity: caps[idx]}
+			if ov == g.Source() {
+				// Unsplit terminal: the virtual edge is the retarget handle.
+				handles = append(handles, handle{ov: ov, edge: idx})
 			}
+		case wireInlet:
+			edges[idx] = graph.Edge{From: rl.src, To: rl.localOf[ov], Capacity: caps[idx]}
+			if ov == g.Sink() {
+				handles = append(handles, handle{ov: ov, edge: idx})
+			}
+		default:
 			continue
 		}
-		if _, err := rg.AddEdge(reg.localOut(e.From), reg.localOf[e.To], e.Capacity); err != nil {
+		idx++
+	}
+	tmpl, err := graph.FromEdges(rl.nLocal, rl.src, rl.sink, edges)
+	if err != nil {
+		return nil, err
+	}
+	if len(rl.parked) > 0 {
+		if _, err := tmpl.ApplyStructuralUpdate(graph.StructuralUpdate{RemoveEdges: rl.parked}); err != nil {
 			return nil, err
 		}
 	}
-	// Boundary wiring: every incident edge the region does not own — cross
-	// edges and edges materialised in another region alike — contributes
-	// inlet/outlet capacity; the ownership-orientation rule picks the one
-	// side to wire.
-	hasRealSrc := in[g.Source()]
-	hasRealSink := in[g.Sink()]
-	for _, ov := range reg.overlap {
-		var inletCap, outletCap, ownedIn, ownedOut float64
-		for _, ei := range g.InEdges(ov) {
-			if owner[ei] == r {
-				ownedIn += g.Edge(ei).Capacity
-			} else {
-				inletCap += g.Edge(ei).Capacity
-			}
-		}
-		for _, ei := range g.OutEdges(ov) {
-			if owner[ei] == r {
-				ownedOut += g.Edge(ei).Capacity
-			} else {
-				outletCap += g.Edge(ei).Capacity
-			}
-		}
-		wireIn, wireOut := false, false
-		switch {
-		case ov == g.Source():
-			wireOut = true
-		case ov == g.Sink():
-			wireIn = true
-		case ownedIn == 0 && ownedOut == 0:
-			// A pure-relay vertex (the region owns none of its capacity):
-			// wire the side with more external capacity.
-			wireOut = outletCap > inletCap
-			wireIn = !wireOut
-		case ownedIn > ownedOut:
-			wireOut = true
-		default:
-			wireIn = true
-		}
-		// Virtual wiring must never touch a REAL terminal: an outlet edge in
-		// a region holding the real sink would dump boundary pass-through
-		// straight into t (counting flow that in truth leaves the region
-		// AWAY from the sink as delivered), and an inlet edge in a region
-		// holding the real source would draw fake supply from s.  A region
-		// holding a real terminal therefore degenerates to the classic
-		// one-sided construction — every boundary vertex an inlet when the
-		// sink is real, every one an outlet when the source is real — and
-		// the ownership orientation only decides the wiring of middle
-		// regions.
-		switch {
-		case hasRealSrc && hasRealSink:
-			wireIn, wireOut = false, false
-		case hasRealSink:
-			wireOut = false
-			wireIn = inletCap > 0
-		case hasRealSrc:
-			wireIn = false
-			wireOut = outletCap > 0
-		default:
-			// The chosen side may carry no external capacity (a boundary
-			// vertex whose cross edges all point the other way); fall back
-			// to the live side rather than leaving the vertex stranded.
-			if wireOut && !wireIn && outletCap == 0 {
-				wireIn, wireOut = true, false
-			} else if wireIn && !wireOut && inletCap == 0 {
-				wireIn, wireOut = false, true
-			}
-		}
-		if wireOut && outletCap > 0 && ov != g.Sink() {
-			idx := rg.MustAddEdge(reg.localOut(ov), sink, math.Min(outletCap, capClamp))
-			if ov == g.Source() {
-				// Unsplit terminal: the virtual edge is the retarget handle.
-				reg.virtualAt[ov] = append(reg.virtualAt[ov], idx)
-			}
-		}
-		if wireIn && inletCap > 0 && ov != g.Source() {
-			idx := rg.MustAddEdge(src, reg.localOf[ov], math.Min(inletCap, capClamp))
-			if ov == g.Sink() {
-				reg.virtualAt[ov] = append(reg.virtualAt[ov], idx)
-			}
+	built := *rl
+	built.wiring, built.handles, built.tmpl = wiring, handles, tmpl
+	return &built, nil
+}
+
+// withRegions returns a copy of l with a region slice of its own, for a run
+// that rebuilds a region of a carried layout.
+func (l *layout) withRegions() *layout {
+	c := *l
+	c.regions = slices.Clone(l.regions)
+	return &c
+}
+
+// withCapacities returns base itself when it carries caps bit for bit, and
+// otherwise a copy of base with caps, which shares base's frozen adjacency.
+func withCapacities(base *graph.Graph, caps []float64) (*graph.Graph, error) {
+	same := len(caps) == base.NumEdges()
+	for i := 0; same && i < len(caps); i++ {
+		same = math.Float64bits(base.Edge(i).Capacity) == math.Float64bits(caps[i])
+	}
+	if same {
+		return base, nil
+	}
+	return base.WithCapacities(caps)
+}
+
+// stamped is a run's starting point: the layout it runs on, each region's
+// subproblem graph, and the consensus state seeded from a WarmState.
+type stamped struct {
+	lay     *layout
+	regions []*region
+	flows   []*graph.Flow
+	solved  []*graph.Graph
+	warm    bool
+}
+
+// stampRegions prepares a run over g and part: it takes the layout ws
+// carries when it fits and builds one otherwise, stamps this run's
+// capacities onto every region (rebuilding a region alone when its wiring
+// flipped), and seeds each region whose carried graph still has the stamped
+// structure with ws's consensus allowances and flow.  ws may be nil, and
+// is never written.
+func stampRegions(g *graph.Graph, part Partition, ws *WarmState, capFloor, capClamp float64) (*stamped, error) {
+	var carried *layout
+	if ws != nil {
+		carried = ws.layout
+	}
+	lay := carried
+	if !lay.fits(g, part) {
+		var err error
+		if lay, err = newLayout(g, part); err != nil {
+			return nil, err
 		}
 	}
-	reg.graph = rg
-	return reg, nil
+	k := len(lay.regions)
+	st := &stamped{regions: make([]*region, k), flows: make([]*graph.Flow, k), solved: make([]*graph.Graph, k)}
+	seed := ws != nil && len(ws.Graphs) == k && len(ws.Flows) == k
+	for r := 0; r < k; r++ {
+		rl := lay.regions[r]
+		caps, wiring := rl.stamp(g, lay.owner, r, capFloor, capClamp)
+		if rl.tmpl == nil || !bytes.Equal(wiring, rl.wiring) {
+			built, err := rl.buildRegion(g, caps, wiring)
+			if err != nil {
+				return nil, err
+			}
+			if lay == carried {
+				lay = lay.withRegions()
+			}
+			lay.regions[r], rl = built, built
+		}
+		base := rl.tmpl
+		if seed {
+			wg, wf := ws.Graphs[r], ws.Flows[r]
+			if wg != nil && wf != nil && len(wf.Edge) == wg.NumEdges() && sameStructure(wg, rl.tmpl) {
+				// Re-impose the carried consensus allowances: owned and
+				// structural boundary capacities come from g, the retarget
+				// handles from the carried state.
+				for _, h := range rl.handles {
+					caps[h.edge] = wg.Edge(h.edge).Capacity
+				}
+				st.flows[r], st.solved[r], st.warm = wf, wg, true
+				if rl.sameParked(wg) {
+					base = wg
+				}
+			}
+		}
+		rg, err := withCapacities(base, caps)
+		if err != nil {
+			return nil, err
+		}
+		st.regions[r] = &region{regionLayout: rl, graph: rg}
+	}
+	st.lay = lay
+	return st, nil
+}
+
+// capBounds returns g's two capacity bounds.  capFloor is the smallest
+// capacity a consensus retarget may assign to a split or virtual edge (see
+// the target update in SolveContext).
+//
+// valueScale bounds the true max-flow from above by structure alone
+// (everything leaves the source and enters the sink).  It caps the
+// convergence denominator — an inflated early estimate must not widen its
+// own tolerance band — and clamps every split and virtual capacity: no
+// boundary can carry more than the whole flow, and without the clamp the
+// summed boundary capacities blow up the dynamic range an analog region
+// oracle has to quantize.
+func capBounds(g *graph.Graph) (capFloor, valueScale float64) {
+	var srcCap, sinkCap float64
+	for _, ei := range g.OutEdges(g.Source()) {
+		srcCap += g.Edge(ei).Capacity
+	}
+	for _, ei := range g.InEdges(g.Sink()) {
+		sinkCap += g.Edge(ei).Capacity
+	}
+	return g.MaxCapacity() * 1e-9, math.Min(srcCap, sinkCap)
 }
 
 // Solve runs the dual decomposition of g under the given partition.
@@ -478,96 +778,45 @@ func SolveContext(ctx context.Context, g *graph.Graph, part Partition, opts Opti
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	// Graphs are valid by construction (graph.New, graph.FromEdges and every
+	// mutator check what they add), so only nil and the zero value
+	// graph.Graph{} are refused, the latter with Validate's own error.  The
+	// partition is caller input: newLayout validates it whenever it builds a
+	// layout, and a carried layout fits only a partition equal to the one it
+	// was built for.
+	if g == nil {
+		return nil, errors.New("decompose: nil graph")
 	}
-	if err := part.Validate(g); err != nil {
-		return nil, err
+	if g.NumVertices() < 2 {
+		return nil, g.Validate()
 	}
 	oracle := opts.Oracle
 	if oracle == nil {
 		oracle = ExactOracle()
 	}
 
-	// capFloor is the smallest capacity a consensus retarget may assign to a
-	// split or virtual edge (see the target update below).
-	capFloor := g.MaxCapacity() * 1e-9
-
-	// valueScale bounds the true max-flow from above by structure alone
-	// (everything leaves the source and enters the sink).  It caps the
-	// convergence denominator — an inflated early estimate must not widen
-	// its own tolerance band — and clamps every split and virtual capacity:
-	// no boundary can carry more than the whole flow, and without the clamp
-	// the summed boundary capacities blow up the dynamic range an analog
-	// region oracle has to quantize.
-	var srcCap, sinkCap float64
-	for _, ei := range g.OutEdges(g.Source()) {
-		srcCap += g.Edge(ei).Capacity
+	capFloor, valueScale := capBounds(g)
+	st, err := stampRegions(g, part, opts.WarmState, capFloor, valueScale)
+	if err != nil {
+		return nil, err
 	}
-	for _, ei := range g.InEdges(g.Sink()) {
-		sinkCap += g.Edge(ei).Capacity
-	}
-	valueScale := math.Min(srcCap, sinkCap)
-
-	k := part.NumRegions()
-	owner := part.edgeOwners(g)
-	regions := make([]*region, k)
-	for r := 0; r < k; r++ {
-		reg, err := buildRegion(g, part, r, owner, capFloor, valueScale)
-		if err != nil {
-			return nil, err
-		}
-		regions[r] = reg
-	}
-
-	res := &Result{Regions: k, SubproblemSizes: make([]int, k)}
-	for r, reg := range regions {
+	k := len(st.regions)
+	res := &Result{Regions: k, SubproblemSizes: make([]int, k), WarmStarted: st.warm}
+	for r, reg := range st.regions {
 		res.SubproblemSizes[r] = reg.graph.NumVertices()
 	}
-
 	// Overlap bookkeeping: the consensus groups — overlap vertices sharing
 	// one set of incident regions — in deterministic order.  The update
 	// walks these groups, so the imbalance accumulation order (and hence the
 	// floating-point result) is independent of how the region solves were
 	// scheduled.
-	groups := part.overlapGroups()
-
-	flows := make([]*graph.Flow, k)
+	regions, groups := st.regions, st.lay.groups
 	// solved[r] is region r's graph as last solved: flows[r] was computed
 	// against exactly its capacities.  A region whose current capacities equal
 	// its last-solved ones is clean — its reading cannot have changed — and
 	// the scheduler replays flows[r] instead of calling the oracle.  The pair
 	// (solved, flows) is also the carried consensus state (Result.State).
-	solved := make([]*graph.Graph, k)
-	if ws := opts.WarmState; ws != nil && len(ws.Graphs) == k && len(ws.Flows) == k {
-		for r := 0; r < k; r++ {
-			wg, wf := ws.Graphs[r], ws.Flows[r]
-			if wg == nil || wf == nil || len(wf.Edge) != wg.NumEdges() ||
-				!sameStructure(wg, regions[r].graph) {
-				continue // this region starts cold; the others may still seed
-			}
-			// Re-impose the carried consensus allowances on the fresh build:
-			// owned and structural boundary capacities come from the NEW
-			// graph, the retarget handles from the carried state.
-			caps := make([]float64, regions[r].graph.NumEdges())
-			for i := range caps {
-				caps[i] = regions[r].graph.Edge(i).Capacity
-			}
-			for _, edges := range regions[r].virtualAt {
-				for _, ei := range edges {
-					caps[ei] = wg.Edge(ei).Capacity
-				}
-			}
-			seeded, err := regions[r].graph.WithCapacities(caps)
-			if err != nil {
-				continue
-			}
-			regions[r].graph = seeded
-			flows[r] = wf
-			solved[r] = wg
-			res.WarmStarted = true
-		}
-	}
+	flows, solved := st.flows, st.solved
 	// bestEstimate is the largest min-over-regions reading seen.  Iteration
 	// one's readings are pure relaxations (every boundary still carries its
 	// structural maximum), so this is a stable upper-side anchor for the
@@ -731,10 +980,7 @@ func SolveContext(ctx context.Context, g *graph.Graph, part Partition, opts Opti
 		}
 	}
 	if opts.CarryState {
-		st := &WarmState{Graphs: make([]*graph.Graph, k), Flows: make([]*graph.Flow, k)}
-		copy(st.Graphs, solved)
-		copy(st.Flows, flows)
-		res.State = st
+		res.State = &WarmState{Graphs: solved, Flows: flows, layout: st.lay}
 	}
 	return res, nil
 }
@@ -766,27 +1012,18 @@ func (r *region) throughput(ov, globalSink int, f *graph.Flow) float64 {
 // untouched regions staying bit-identical (hence clean) across iterations.
 func (r *region) retargetVirtual(targets map[int]float64) {
 	var caps []float64
-	for ov, edges := range r.virtualAt {
-		target, ok := targets[ov]
-		if !ok {
+	for _, h := range r.handles {
+		target, ok := targets[h.ov]
+		if !ok || r.graph.Edge(h.edge).Capacity == target {
 			continue
 		}
-		for _, ei := range edges {
-			cur := r.graph.Edge(ei).Capacity
-			if caps != nil {
-				cur = caps[ei]
+		if caps == nil {
+			caps = make([]float64, r.graph.NumEdges())
+			for i := range caps {
+				caps[i] = r.graph.Edge(i).Capacity
 			}
-			if cur == target {
-				continue
-			}
-			if caps == nil {
-				caps = make([]float64, r.graph.NumEdges())
-				for i := range caps {
-					caps[i] = r.graph.Edge(i).Capacity
-				}
-			}
-			caps[ei] = target
 		}
+		caps[h.edge] = target
 	}
 	if caps == nil {
 		return
@@ -838,7 +1075,8 @@ func (p Partition) edgeOwners(g *graph.Graph) []int {
 	contains := func(r, u, v int) bool {
 		return r >= 0 && r < len(p.In) && p.In[r][u] && p.In[r][v]
 	}
-	for ei, e := range g.Edges() {
+	for ei := range owner {
+		e := g.Edge(ei)
 		owner[ei] = -1
 		if p.Home != nil {
 			if h := p.Home[e.From]; contains(h, e.From, e.To) {
@@ -869,34 +1107,60 @@ type overlapGroup struct {
 }
 
 // overlapGroups partitions the overlap vertices by their incident-region
-// signature, in deterministic (first-vertex) order.
-func (p Partition) overlapGroups() []overlapGroup {
-	if len(p.In) == 0 {
-		return nil
-	}
-	n := len(p.In[0])
+// signature, in deterministic (first-vertex) order.  shared[v] counts the
+// regions containing v.  The signature key is the membership bitmap, looked
+// up without allocating; only a new group's key is copied into the index.
+func (p Partition) overlapGroups(shared []int) []overlapGroup {
 	index := make(map[string]int)
 	var groups []overlapGroup
-	for v := 0; v < n; v++ {
-		var rs []int
-		for r, in := range p.In {
-			if in[v] {
-				rs = append(rs, r)
-			}
-		}
-		if len(rs) < 2 {
+	key := make([]byte, (len(p.In)+7)/8)
+	for v, s := range shared {
+		if s < 2 {
 			continue
 		}
-		key := fmt.Sprint(rs)
-		gi, ok := index[key]
+		clear(key)
+		for r, in := range p.In {
+			if in[v] {
+				key[r/8] |= 1 << (r % 8)
+			}
+		}
+		gi, ok := index[string(key)]
 		if !ok {
+			rs := make([]int, 0, s)
+			for r, in := range p.In {
+				if in[v] {
+					rs = append(rs, r)
+				}
+			}
 			gi = len(groups)
-			index[key] = gi
+			index[string(key)] = gi
 			groups = append(groups, overlapGroup{regions: rs})
 		}
 		groups[gi].verts = append(groups[gi].verts, v)
 	}
 	return groups
+}
+
+// equal reports whether p and q mark the same memberships and homes.
+func (p Partition) equal(q Partition) bool {
+	if len(p.In) != len(q.In) || !slices.Equal(p.Home, q.Home) {
+		return false
+	}
+	for r := range p.In {
+		if !slices.Equal(p.In[r], q.In[r]) {
+			return false
+		}
+	}
+	return true
+}
+
+// clone returns a copy of p that shares no slice with it.
+func (p Partition) clone() Partition {
+	c := Partition{In: make([][]bool, len(p.In)), Home: slices.Clone(p.Home)}
+	for r, in := range p.In {
+		c.In[r] = slices.Clone(in)
+	}
+	return c
 }
 
 // ErrDegeneratePartition marks partitions the decomposition rejects: an empty

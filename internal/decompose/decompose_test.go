@@ -135,6 +135,14 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	if _, err := Solve(g, Partition{In: [][]bool{{true}, {true}}}, DefaultOptions()); err == nil {
 		t.Errorf("invalid partition accepted")
 	}
+	if _, err := Solve(nil, p, DefaultOptions()); err == nil {
+		t.Errorf("nil graph accepted")
+	}
+	zero := &graph.Graph{}
+	_, err := Solve(zero, p, DefaultOptions())
+	if want := zero.Validate(); err == nil || err.Error() != want.Error() {
+		t.Errorf("zero-value graph: got error %v, want Validate's %v", err, want)
+	}
 }
 
 // A long path graph has an obvious bottleneck; the decomposition must find it

@@ -119,7 +119,8 @@ func (c ClusterPartitioner) Partition(g *graph.Graph, regions int) (Partition, e
 			}
 		}
 	}
-	for _, e := range g.Edges() {
+	for ei, m := 0, g.NumEdges(); ei < m; ei++ {
+		e := g.Edge(ei)
 		a, b := regionOf[e.From], regionOf[e.To]
 		if a == b {
 			continue

@@ -504,6 +504,11 @@ func solvePlanned(ctx context.Context, sol Solver, p *Problem, plan *Plan, part 
 	opts.CarryState = true
 	start := time.Now()
 	var res *decompose.Result
+	// unseeded is the escalated full run's WarmState: the quick attempt's
+	// region layout without its consensus seed, so the full run starts from
+	// the structural relaxation, as a cold run does, without rebuilding the
+	// regions.
+	var unseeded *decompose.WarmState
 	warmStart, escalated := false, false
 	quickIters, quickSolves, quickSkips := 0, 0, 0
 	if oracle.consensus != nil {
@@ -533,6 +538,7 @@ func solvePlanned(ctx context.Context, sol Solver, p *Problem, plan *Plan, part 
 			res = qres
 		} else {
 			escalated = true
+			unseeded = qres.State.Unseeded()
 			quickIters = qres.Iterations
 			quickSolves = qres.RegionSolves
 			quickSkips = qres.RegionSkips
@@ -540,7 +546,7 @@ func solvePlanned(ctx context.Context, sol Solver, p *Problem, plan *Plan, part 
 	}
 	if res == nil {
 		full := opts
-		full.WarmState = nil
+		full.WarmState = unseeded
 		fres, err := decompose.SolveContext(ctx, p.Graph(), part, full)
 		if err != nil {
 			return nil, err
