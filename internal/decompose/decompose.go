@@ -277,12 +277,10 @@ type layout struct {
 type regionLayout struct {
 	localOf []int // localOf[global] = local in-node index or -1
 	overlap []int // global ids of overlap vertices present in this region
-	// outOf[global] is the local node outgoing edges leave from: the ov_out
-	// half of a split overlap vertex, localOf[global] otherwise.
-	outOf map[int]int
 	// splits lists the split overlap vertices; splits[i] is split by
 	// region-local edge i, and splitOf inverts that.  The split edge's
-	// capacity is the consensus throughput bound at the vertex.
+	// capacity is the consensus throughput bound at the vertex.  The
+	// out-halves are the region's last len(splits) nodes, in that order.
 	splits  []int
 	splitOf map[int]int
 	// owned lists the edges the region materialises, ascending: global edge
@@ -386,7 +384,6 @@ func newRegionLayout(g *graph.Graph, in []bool, r int, owner, shared []int) *reg
 	n := g.NumVertices()
 	rl := &regionLayout{
 		localOf:     make([]int, n),
-		outOf:       make(map[int]int),
 		splitOf:     make(map[int]int),
 		hasRealSrc:  in[g.Source()],
 		hasRealSink: in[g.Sink()],
@@ -416,7 +413,6 @@ func newRegionLayout(g *graph.Graph, in []bool, r int, owner, shared []int) *reg
 		if ov == g.Source() || ov == g.Sink() {
 			continue
 		}
-		rl.outOf[ov] = rl.nLocal
 		rl.nLocal++
 		rl.splitOf[ov] = len(rl.splits)
 		rl.splits = append(rl.splits, ov)
@@ -433,10 +429,11 @@ func newRegionLayout(g *graph.Graph, in []bool, r int, owner, shared []int) *reg
 	return rl
 }
 
-// localOut returns the local node edges leaving global vertex v depart from.
+// localOut returns the local node edges leaving global vertex v depart
+// from: the ov_out half of a split overlap vertex, localOf[v] otherwise.
 func (rl *regionLayout) localOut(v int) int {
-	if out, ok := rl.outOf[v]; ok {
-		return out
+	if i, ok := rl.splitOf[v]; ok {
+		return rl.nLocal - len(rl.splits) + i
 	}
 	return rl.localOf[v]
 }
@@ -453,6 +450,10 @@ func (rl *regionLayout) stamp(g *graph.Graph, owner []int, r int, capFloor, capC
 			caps[len(rl.splits)+j] = g.Edge(ei).Capacity
 		}
 	}
+	// Boundary wiring: every incident edge the region does not own — cross
+	// edges and edges materialised in another region alike — contributes
+	// inlet/outlet capacity; the ownership-orientation rule picks the one
+	// side to wire.
 	wiring := make([]uint8, len(rl.overlap))
 	split := 0
 	for i, ov := range rl.overlap {
@@ -549,9 +550,9 @@ func (rl *regionLayout) sameParked(g *graph.Graph) bool {
 	return true
 }
 
-// buildRegion returns a copy of rl whose template is region r's subproblem
-// graph for the given stamp of g: capacities caps and boundary wiring
-// wiring, as stamp computed them.  The template is frozen (graph.FromEdges)
+// buildRegion returns a copy of rl whose template is the region's subproblem
+// graph for one stamp of g: the capacities caps and the boundary wiring
+// wiring that stamp computed.  The template is frozen (graph.FromEdges)
 // and is never written afterwards.
 //
 // Every edge of g is materialised in exactly one region — its owner, the
@@ -605,7 +606,7 @@ func (rl *regionLayout) buildRegion(g *graph.Graph, caps []float64, wiring []uin
 	// vertex's global throughput bound (floored so a later retarget can
 	// never flip the edge's positivity).
 	for i, ov := range rl.splits {
-		edges[i] = graph.Edge{From: rl.localOf[ov], To: rl.outOf[ov], Capacity: caps[i]}
+		edges[i] = graph.Edge{From: rl.localOf[ov], To: rl.localOut(ov), Capacity: caps[i]}
 		handles[i] = handle{ov: ov, edge: i}
 	}
 	// Owned edges: tail's out-half -> head's in-half.  A parked edge stays

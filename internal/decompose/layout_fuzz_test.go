@@ -69,7 +69,7 @@ func dumpState(ws *WarmState) string {
 	if l := ws.layout; l != nil {
 		b = fmt.Appendln(b, l.n, l.source, l.sink, l.ends, l.parked, l.part, l.owner, l.groups)
 		for _, rl := range l.regions {
-			b = fmt.Appendln(b, rl.localOf, rl.overlap, rl.outOf, rl.splits, rl.splitOf, rl.owned, rl.parked,
+			b = fmt.Appendln(b, rl.localOf, rl.overlap, rl.splits, rl.splitOf, rl.owned, rl.parked,
 				rl.nLocal, rl.src, rl.sink, rl.hasRealSrc, rl.hasRealSink, rl.wiring, rl.handles)
 			b = dumpGraph(b, rl.tmpl)
 		}
@@ -123,11 +123,11 @@ func firstDiff(a, b string) string {
 // grid under a 2–4-region bfs or cluster partition.  Steps retarget
 // capacities (to and from zero included), push an overlap vertex's incident
 // capacity across its owned-in/owned-out balance (which flips its boundary
-// wiring), park, reclaim, append, switch the partitioner, or duplicate a
-// private vertex into another region (a partition with the same region
-// count and other content).  At every step the stamped region graphs and
-// the Results must be bit-identical between the two runs, and neither run
-// may write to the carried state.
+// wiring), park, reclaim, append, re-partition with either partitioner, or
+// duplicate a private vertex into another region (a partition with the same
+// region count and other content).  At every step the stamped region graphs
+// and the Results must be bit-identical between the two runs, and neither
+// run may write to the carried state.
 func FuzzShardedLayout(f *testing.F) {
 	f.Add([]byte("\x00\x20\x05\x02\x00\x00\x03\x01\x11\x07\x02\x15\x04\x02\x02\x05\x00\x01\x12\x03\x06\x33"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -253,7 +253,7 @@ func FuzzShardedLayout(f *testing.F) {
 				}
 				_, err = g2.ApplyStructuralUpdate(graph.StructuralUpdate{
 					AddEdges: []graph.Edge{{From: u, To: v, Capacity: 1 + capOf(next())}}})
-			case 5: // the other partitioner at the same requested count
+			case 5: // re-partition with either partitioner at the same requested count
 				pt = partitioners[(op>>4)%2]
 				part, err = pt.Partition(g2, regions)
 				if err != nil {
