@@ -177,6 +177,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		`analogflow_requests_total`,
 		`analogflow_completed_total`,
 		`analogflow_warm_hit_ratio{cache="instance"}`,
+		`analogflow_cache_bytes{cache="instance"}`,
 		`analogflow_warm_hit_ratio{cache="oracle"}`,
 		`analogflow_warm_hit_ratio{cache="consensus"}`,
 		`analogflow_queue_depth{lane="urgent"}`,

@@ -295,6 +295,29 @@ func sameGraphShape(a, b *graph.Graph) bool {
 	return true
 }
 
+// HeapBytes estimates the heap the bundle holds: each distinct graph once
+// (the original, its s-t core and the work graph), and 8 bytes per entry of
+// both prune passes' maps, the quantization arrays and the clamp levels.
+func (p *Prepared) HeapBytes() int64 {
+	b := p.original.HeapBytes()
+	if p.core != p.original {
+		b += p.core.HeapBytes()
+	}
+	if p.work != nil && p.work != p.core {
+		b += p.work.HeapBytes()
+	}
+	n := len(p.clamps)
+	for _, pr := range []*graph.PruneResult{p.pr1, p.pr2} {
+		if pr != nil {
+			n += len(pr.EdgeMap) + len(pr.VertexMap)
+		}
+	}
+	if q := p.qres; q != nil {
+		n += len(q.EdgeVoltages) + len(q.EdgeLevels) + len(q.UsedLevels)
+	}
+	return b + 8*int64(n)
+}
+
 // removedVertices / removedEdges aggregate both pruning passes.
 func (p *Prepared) removedVertices() int {
 	n := 0

@@ -124,6 +124,14 @@ func (g *Graph) NumVertices() int { return g.n }
 // NumEdges returns the number of edges |E|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
+// HeapBytes estimates the heap the graph's arrays occupy: 24 bytes per edge
+// for the edge list and 16 for its out- and in-list entries, 48 per vertex
+// for the two list headers, and the parked flags.  A clone shares its
+// base's frozen adjacency, so this overstates what a clone adds.
+func (g *Graph) HeapBytes() int64 {
+	return 40*int64(len(g.edges)) + 48*int64(g.n) + int64(len(g.parked))
+}
+
 // Source returns the source vertex s.
 func (g *Graph) Source() int { return g.source }
 

@@ -28,6 +28,8 @@ import (
 type Network struct {
 	g *graph.Graph
 	r *residual
+	// overflow lists the edges the current retarget drains.
+	overflow []int
 }
 
 // ErrCannotDrain is returned when an overflow cannot be drained, which only
@@ -228,11 +230,12 @@ func (n *Network) StructureTo(g2 *graph.Graph) error {
 
 // retarget applies g2's capacities to the first ne edges' arcs: every
 // change that keeps the current flow feasible is applied in place first,
-// then the edges whose flow overflows their new capacity are drained.
+// then the edges whose flow overflows their new capacity are drained, all
+// on one pair of search arrays from the int scratch pool.
 func (n *Network) retarget(g2 *graph.Graph, ne int) error {
 	r := n.r
 	eps := epsilonFor(r.maxArcCapacity())
-	var overflow []int
+	n.overflow = n.overflow[:0]
 	for i := 0; i < ne; i++ {
 		oldCap := r.arcs[2*i].cap + r.arcs[2*i+1].cap
 		newCap := g2.Edge(i).Capacity
@@ -243,11 +246,17 @@ func (n *Network) retarget(g2 *graph.Graph, ne int) error {
 		if forward >= 0 {
 			r.arcs[2*i].cap = forward
 		} else {
-			overflow = append(overflow, i)
+			n.overflow = append(n.overflow, i)
 		}
 	}
-	for _, i := range overflow {
-		if err := n.drain(i, g2.Edge(i).Capacity, eps); err != nil {
+	if len(n.overflow) == 0 {
+		return nil
+	}
+	parent, queue := getIntScratch(r.n), getIntScratch(r.n)
+	defer putIntScratch(queue)
+	defer putIntScratch(parent)
+	for _, i := range n.overflow {
+		if err := n.drain(i, g2.Edge(i).Capacity, eps, *parent, *queue); err != nil {
 			return err
 		}
 	}
@@ -265,8 +274,9 @@ func (n *Network) retarget(g2 *graph.Graph, ne int) error {
 // u ⇝ v walk over reverse arcs.  drain therefore repeatedly finds a u ⇝ v
 // path over reverse arcs, where reaching s additionally offers a free
 // teleport to t (the implicit return arc), and pushes the bottleneck along
-// it, until the whole excess is gone.
-func (n *Network) drain(i int, newCap, eps float64) error {
+// it, until the whole excess is gone.  parent and queue are |V|-sized
+// scratch the search overwrites.
+func (n *Network) drain(i int, newCap, eps float64, parent, queue []int) error {
 	r := n.r
 	// Earlier drains may already have reduced this edge's flow.
 	f := r.arcs[2*i+1].cap
@@ -280,8 +290,8 @@ func (n *Network) drain(i int, newCap, eps float64) error {
 	u := r.tail(2 * i)
 	v := r.arcs[2*i].to
 
-	parent := make([]int, r.n) // arc used to reach the vertex, -1 unseen, -2 root, -3 teleport
-	queue := make([]int, 0, r.n)
+	// parent holds the arc used to reach each vertex: -1 unseen, -2 the
+	// root, -3 the teleport.
 	for d > eps {
 		for j := range parent {
 			parent[j] = -1
@@ -289,23 +299,8 @@ func (n *Network) drain(i int, newCap, eps float64) error {
 		parent[u] = -2
 		queue = append(queue[:0], u)
 		found := false
-		// label marks a newly reached vertex; reaching the source additionally
-		// unlocks the implicit t→s return arc of the circulation formulation,
-		// so the cancellation can continue from the sink.
-		var label func(x, via int)
-		label = func(x, via int) {
-			parent[x] = via
-			if x == v {
-				found = true
-				return
-			}
-			queue = append(queue, x)
-			if x == r.s && parent[r.t] == -1 {
-				label(r.t, -3)
-			}
-		}
 		if u == r.s && parent[r.t] == -1 {
-			label(r.t, -3)
+			queue, found = r.reach(parent, queue, r.t, -3, v)
 		}
 		for qh := 0; qh < len(queue) && !found; qh++ {
 			x := queue[qh]
@@ -318,8 +313,7 @@ func (n *Network) drain(i int, newCap, eps float64) error {
 				if r.arcs[a].cap <= eps || parent[to] != -1 {
 					continue
 				}
-				label(to, a)
-				if found {
+				if queue, found = r.reach(parent, queue, to, a, v); found {
 					break
 				}
 			}
@@ -355,4 +349,23 @@ func (n *Network) drain(i int, newCap, eps float64) error {
 		d -= bottleneck
 	}
 	return nil
+}
+
+// reach marks x as reached through arc via in a drain's search and queues
+// it, reporting whether x is the target v.  Reaching the source also
+// reaches the sink through the implicit t→s return arc of the circulation
+// formulation, so the cancellation can continue from the sink.  queue has
+// room for every vertex.
+func (r *residual) reach(parent, queue []int, x, via, v int) ([]int, bool) {
+	for {
+		parent[x] = via
+		if x == v {
+			return queue, true
+		}
+		queue = append(queue, x)
+		if x != r.s || parent[r.t] != -1 {
+			return queue, false
+		}
+		x, via = r.t, -3
+	}
 }

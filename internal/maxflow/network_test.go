@@ -165,6 +165,53 @@ func TestNetworkWarmMatchesCold(t *testing.T) {
 	}
 }
 
+// TestUpdateToDrainAllocationFree pins that a warm capacity step whose
+// decreases overflow edges' flow drains without allocating: every step
+// below lowers all capacities of a solved grid, so each one drains.
+func TestUpdateToDrainAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops scratch on purpose")
+	}
+	g, err := graph.SegmentationGrid(16, 16, false, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Solve(context.Background(), Dinic); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	steps := make([]*graph.Graph, runs+1)
+	caps := make([]float64, g.NumEdges())
+	for k := range steps {
+		for i := range caps {
+			caps[i] = g.Edge(i).Capacity * (1 - float64(k+1)/64)
+		}
+		if steps[k], err = g.WithCapacities(caps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := net.UpdateTo(steps[k]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if len(net.overflow) == 0 {
+		t.Fatal("the last step drained nothing")
+	}
+	if allocs != 0 {
+		t.Errorf("a draining UpdateTo allocates %.1f times", allocs)
+	}
+	if rep := net.Flow().CheckFeasibility(steps[runs]); !rep.Feasible(1e-9) {
+		t.Errorf("drained flow infeasible: %v", rep)
+	}
+}
+
 // TestNetworkUpdateToRejectsStructuralChange pins that UpdateTo only accepts
 // capacity-level differences.
 func TestNetworkUpdateToRejectsStructuralChange(t *testing.T) {

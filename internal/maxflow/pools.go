@@ -113,20 +113,22 @@ func putCertScratch(sc *certScratch) {
 	certScratchPool.Put(sc)
 }
 
-// intScratchPool recycles the degree/position arrays used while building a
-// residual's CSR adjacency.
+// intScratchPool recycles |V|-sized int arrays: the position array of a
+// residual's CSR adjacency build and the search arrays of a drain.  It holds
+// the slices by pointer, so handing one back allocates nothing.
 var intScratchPool sync.Pool
 
-func getIntScratch(n int) []int {
+func getIntScratch(n int) *[]int {
 	p, _ := intScratchPool.Get().(*[]int)
-	if p == nil || cap(*p) < n {
-		return make([]int, n)
+	if p == nil {
+		p = new([]int)
 	}
-	return (*p)[:n]
+	*p = growSlice(*p, n)
+	return p
 }
 
-func putIntScratch(s []int) {
-	intScratchPool.Put(&s)
+func putIntScratch(p *[]int) {
+	intScratchPool.Put(p)
 }
 
 // residualPool recycles whole residual networks — the arc array is by far

@@ -128,14 +128,15 @@ func (r *residual) fillAdjacency(g *graph.Graph) {
 	for v := 0; v < r.n; v++ {
 		r.off[v+1] = r.off[v] + g.Degree(v)
 	}
-	pos := getIntScratch(r.n)
+	scratch := getIntScratch(r.n)
+	pos := *scratch
 	copy(pos, r.off[:r.n])
 	for a := len(r.arcs) - 1; a >= 0; a-- {
 		tail := r.tail(a)
 		r.adj[pos[tail]] = int32(a)
 		pos[tail]++
 	}
-	putIntScratch(pos)
+	putIntScratch(scratch)
 }
 
 // flow extracts the per-edge flow from the residual state: the flow on graph

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -142,6 +143,8 @@ func (i *analogInstance) Solve(ctx context.Context) (*Report, error) {
 	return stamped(reportFromCore(i.name, res), start), nil
 }
 
+func (i *analogInstance) retainedBytes() int64 { return i.sess.HeapBytes() }
+
 // session exposes the underlying session for engine-level assertions in
 // tests and diagnostics.
 func (i *analogInstance) session() *core.Session { return i.sess }
@@ -187,9 +190,10 @@ func reportFromCore(name string, res *core.Result) *Report {
 // exactly the cold maximum value (the optimum is unique); the per-edge
 // assignment it recovers is a — possibly different — optimal flow, because
 // augmentation order from a warm residual differs from a cold run
-// (docs/solver.md).  A one-shot instance is never updated, so it hands its
-// residual back to maxflow's pool once the certificate has read it and
-// answers repeats from the stored flow.
+// (docs/solver.md).  A one-shot instance is never updated, so once it has
+// answered it keeps the report alone: the residual goes back to maxflow's
+// pool as soon as the certificate has read it, the problem is dropped, and a
+// repeat answers from a copy of the report.
 type cpuSolver struct {
 	alg  maxflow.Algorithm
 	desc string
@@ -201,7 +205,12 @@ func (c *cpuSolver) Describe() string { return c.desc }
 // NewInstance returns a one-shot instance.  The one-shot Solve below runs a
 // fresh one too, so cached and uncached solves report identically.
 func (c *cpuSolver) NewInstance(p *Problem) (Instance, error) {
-	return &cpuInstance{alg: c.alg, name: c.Name(), p: p, oneShot: true}, nil
+	return c.oneShot(p), nil
+}
+
+func (c *cpuSolver) oneShot(p *Problem) *cpuInstance {
+	return &cpuInstance{alg: c.alg, name: c.Name(), p: p, oneShot: true,
+		bytes: 8 * int64(p.Graph().NumEdges())}
 }
 
 // NewUpdatableInstance returns an instance that keeps its residual network
@@ -211,69 +220,95 @@ func (c *cpuSolver) NewUpdatableInstance(p *Problem) (UpdatableInstance, error) 
 }
 
 // cpuInstance is the warm state of one CPU backend on one problem chain: the
-// pruned core, the residual network of the last solve, and the solved flow.
+// residual network of the last solve and the report it answered.
 type cpuInstance struct {
 	alg  maxflow.Algorithm
 	name string
-	// oneShot instances release the residual right after the solve and its
-	// certificate: only update chains call Update, so nothing reads it
-	// again.
+	// oneShot instances keep only their answer (see cpuSolver); bytes is
+	// what that answer retains, its edge flows.
 	oneShot bool
+	bytes   int64
 
-	mu     sync.Mutex
-	p      *Problem
-	net    *maxflow.Network
-	solved bool
-	flow   *graph.Flow // core-domain flow of the last completed solve
-	// certified records that the last solve's residual passed
-	// maxflow.Network.Certify, so its value is reported as the exact one.
-	certified bool
-	elapsed   time.Duration
+	mu  sync.Mutex
+	p   *Problem // nil once a one-shot instance has answered
+	net *maxflow.Network
+	// answer is the report of the last completed solve of p; Update clears
+	// it.  Callers get copies, so it is never written after it is stored.
+	answer *Report
 }
+
+func (i *cpuInstance) retainedBytes() int64 { return i.bytes }
 
 func (i *cpuInstance) Solve(ctx context.Context) (*Report, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	coreG, pr := i.p.STCore()
-	if !i.solved {
-		if i.net == nil {
-			net, err := maxflow.NewNetwork(coreG)
-			if err != nil {
-				return nil, err
-			}
-			i.net = net
-		}
-		start := time.Now()
-		f, err := i.net.Solve(ctx, i.alg)
+	if i.answer == nil {
+		rep, err := i.solveLocked(ctx)
 		if err != nil {
-			// An aborted solve may leave the residual mid-computation —
-			// push-relabel in particular is cancelled mid-discharge and
-			// leaves a preflow, not a feasible flow.  Drop the warm state
-			// so the next request re-solves from scratch instead of
-			// silently augmenting a corrupted network.
-			i.dropNet()
 			return nil, err
 		}
-		i.flow, i.elapsed = f, time.Since(start)
-		i.solved = true
-		// The flow value and the residual cut's capacity may differ by
-		// round-off only.
-		tol := 1e-9 * math.Max(1, math.Abs(f.Value))
-		i.certified = i.alg != maxflow.Dinic && i.net.Certify(f.Value, tol) == nil
+		i.answer = rep
 		if i.oneShot {
-			// The flow is a copy, so a repeat answers from it.
-			i.net.Release()
-			i.net = nil
+			i.p = nil
 		}
 	}
+	rep := *i.answer
+	rep.EdgeFlows = slices.Clone(rep.EdgeFlows)
+	return &rep, nil
+}
+
+// solveLocked solves p on the residual network, building it first when the
+// instance holds none.  Callers hold i.mu.
+func (i *cpuInstance) solveLocked(ctx context.Context) (*Report, error) {
+	if i.net == nil {
+		coreG, _ := i.p.STCore()
+		net, err := maxflow.NewNetwork(coreG)
+		if err != nil {
+			return nil, err
+		}
+		i.net = net
+	}
+	start := time.Now()
+	f, err := i.net.Solve(ctx, i.alg)
+	if err != nil {
+		// An aborted solve may leave the residual mid-computation —
+		// push-relabel in particular is cancelled mid-discharge and leaves a
+		// preflow, not a feasible flow.  Drop the warm state so the next
+		// request re-solves from scratch instead of silently augmenting a
+		// corrupted network.
+		i.dropNet()
+		return nil, err
+	}
+	elapsed := time.Since(start)
+	// The flow value and the residual cut's capacity may differ by
+	// round-off only.
+	tol := 1e-9 * math.Max(1, math.Abs(f.Value))
+	certified := i.alg != maxflow.Dinic && i.net.Certify(f.Value, tol) == nil
+	if i.oneShot {
+		// The flow is a copy, so nothing reads the residual again.
+		i.dropNet()
+	}
+	rep, err := i.finish(ctx, f, certified)
+	if err != nil {
+		return nil, err
+	}
+	rep.WallTime = elapsed
+	return rep, nil
+}
+
+// finish turns f, a maximum flow of p's s-t core, into p's report: the flow
+// in original indexing and the exact value, which a certified flow proves
+// itself and any other reads from the problem's Dinic reference.
+func (i *cpuInstance) finish(ctx context.Context, f *graph.Flow, certified bool) (*Report, error) {
 	if i.alg == maxflow.Dinic {
 		// A Dinic solve of the core is bit-identical to the reference
 		// computation the memo would run, so seed it instead of solving
 		// twice.
-		i.p.pipe.exact.Seed(i.flow.Value)
+		i.p.pipe.exact.Seed(f.Value)
 	}
-	rep := expandedFlowReport(i.p, i.name, i.flow, pr)
-	if i.certified {
+	_, pr := i.p.STCore()
+	rep := expandedFlowReport(i.p, i.name, f, pr)
+	if certified {
 		// The certificate proves the value optimal.  It seeds no memo: the
 		// other exact algorithms may differ from Dinic in the last ulp, and
 		// the shared reference must not depend on backend order.
@@ -281,7 +316,6 @@ func (i *cpuInstance) Solve(ctx context.Context) (*Report, error) {
 	} else if err := i.p.fillExact(ctx, rep); err != nil {
 		return nil, err
 	}
-	rep.WallTime = i.elapsed
 	return rep, nil
 }
 
@@ -315,26 +349,25 @@ func (i *cpuInstance) Update(p *Problem) error {
 		i.dropNet()
 		return fmt.Errorf("%w: %v", ErrIncompatibleUpdate, err)
 	}
-	i.p = p
-	i.solved = false
+	i.p, i.answer = p, nil
 	return nil
 }
 
-// dropNet discards the warm state and returns the residual to the pool.
+// dropNet returns the residual to the pool.
 func (i *cpuInstance) dropNet() {
 	i.net.Release()
-	i.net, i.flow, i.solved = nil, nil, false
+	i.net = nil
 }
 
 // Solve runs a fresh instance: the registry and the service share one
 // report path, exact-value handling included.
 func (c *cpuSolver) Solve(ctx context.Context, p *Problem) (*Report, error) {
-	return (&cpuInstance{alg: c.alg, name: c.Name(), p: p, oneShot: true}).Solve(ctx)
+	return c.oneShot(p).Solve(ctx)
 }
 
 // expandedFlowReport maps a core-domain flow back onto the original graph
 // (a no-op when the prune kept the problem's graph itself) and fills the
-// prune accounting.
+// prune accounting.  Like flowReport, the report may take f's edge slice.
 func expandedFlowReport(p *Problem, name string, f *graph.Flow, pr *graph.PruneResult) *Report {
 	if pr != nil && pr.Graph != p.Graph() {
 		f = pr.ExpandFlow(p.Graph(), f)

@@ -74,7 +74,7 @@ func TestCPUReportsCertifyTheirOptimum(t *testing.T) {
 
 // TestFailedCertificateFallsBackToDinic pins the fallback: a CPU instance
 // whose residual does not certify its claimed flow — here a zero flow passed
-// off as solved, the shape of a kernel defect — reports the Dinic reference
+// off as maximum, the shape of a kernel defect — reports the Dinic reference
 // and the resulting non-zero relative error.
 func TestFailedCertificateFallsBackToDinic(t *testing.T) {
 	p, err := NewProblem(rmat.MustGenerate(rmat.SparseParams(48, 6)))
@@ -86,9 +86,8 @@ func TestFailedCertificateFallsBackToDinic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := &cpuInstance{alg: maxflow.PushRelabel, name: "push-relabel", p: p,
-		net: net, flow: net.Flow(), solved: true}
-	rep, err := inst.Solve(context.Background())
+	inst := &cpuInstance{alg: maxflow.PushRelabel, name: "push-relabel", p: p}
+	rep, err := inst.finish(context.Background(), net.Flow(), net.Certify(0, 1e-9) == nil)
 	if err != nil {
 		t.Fatal(err)
 	}

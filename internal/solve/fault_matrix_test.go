@@ -9,13 +9,17 @@ package solve_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"analogflow/internal/decompose"
 	"analogflow/internal/faultinject"
 	"analogflow/internal/graph"
+	"analogflow/internal/maxflow"
 	"analogflow/internal/rmat"
 	"analogflow/internal/solve"
 )
@@ -313,4 +317,126 @@ func TestFaultRegionOracle(t *testing.T) {
 			t.Errorf("region wrapper consumed %d solve counts", inj.Calls())
 		}
 	})
+}
+
+// constructPanicSolver is the real dinic backend whose instance constructors
+// panic once per arming.
+type constructPanicSolver struct {
+	solve.UpdatableSolver
+	armed atomic.Bool
+}
+
+func (c *constructPanicSolver) trip() {
+	if c.armed.CompareAndSwap(true, false) {
+		panic("injected construction panic")
+	}
+}
+
+func (c *constructPanicSolver) NewInstance(p *solve.Problem) (solve.Instance, error) {
+	c.trip()
+	return c.UpdatableSolver.NewInstance(p)
+}
+
+func (c *constructPanicSolver) NewUpdatableInstance(p *solve.Problem) (solve.UpdatableInstance, error) {
+	c.trip()
+	return c.UpdatableSolver.NewUpdatableInstance(p)
+}
+
+// TestFaultPanicInInstanceConstruction pins that building a warm instance
+// lies inside the isolation boundary: a constructor panic, one-shot, chain
+// start or sharded region, fails its request with ErrSolverPanic and is
+// counted, the worker slot comes back, and nothing poisoned stays cached, so
+// the next solve of the same problem builds afresh and answers.  Each call
+// runs under a deadline, so a leaked slot fails the test instead of hanging
+// it.
+func TestFaultPanicInInstanceConstruction(t *testing.T) {
+	inner, err := solve.DefaultRegistry().Get("dinic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol := &constructPanicSolver{UpdatableSolver: inner.(solve.UpdatableSolver)}
+	reg := solve.NewRegistry()
+	if err := reg.Register(sol); err != nil {
+		t.Fatal(err)
+	}
+	newService := func(workers int) *solve.Service {
+		return solve.NewService(solve.Config{Registry: reg, Workers: workers})
+	}
+	prob := figure5SolveProblem(t)
+	want, err := maxflow.OptimalValue(prob.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newService(1)
+	call := func(req solve.Request) (rep *solve.Report, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("the panic escaped Service.Solve: %v", r)
+			}
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return svc.Solve(ctx, req)
+	}
+	for i, updatable := range []bool{false, true} {
+		sol.armed.Store(true)
+		req := solve.Request{Solver: "dinic", Problem: prob, Updatable: updatable}
+		if _, err := call(req); !errors.Is(err, solve.ErrSolverPanic) {
+			t.Fatalf("updatable=%v: a constructor panic answered %v, want ErrSolverPanic", updatable, err)
+		}
+		if got := solve.MetricValue(t, svc, "analogflow_solver_panics_total"); got != float64(i+1) {
+			t.Errorf("updatable=%v: solver_panics = %v, want %d", updatable, got, i+1)
+		}
+		rep, err := call(req)
+		if err != nil {
+			t.Fatalf("updatable=%v: the solve after the panic: %v", updatable, err)
+		}
+		if rep.FlowValue != want {
+			t.Errorf("updatable=%v: flow %v after the panic, want %v", updatable, rep.FlowValue, want)
+		}
+	}
+	for _, gauge := range []string{"analogflow_in_flight_solves", "analogflow_workers_busy"} {
+		if got := solve.MetricValue(t, svc, gauge); got != 0 {
+			t.Errorf("%s = %v with no solve running", gauge, got)
+		}
+	}
+
+	// Batch items construct on pool goroutines, where an escaping panic
+	// would end the process.
+	sol.armed.Store(true)
+	other, err := solve.NewProblem(rmat.MustGenerate(rmat.SparseParams(32, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	panicked := 0
+	for _, res := range newService(2).SolveBatch(ctx, []solve.Request{
+		{Solver: "dinic", Problem: prob}, {Solver: "dinic", Problem: other},
+	}) {
+		switch {
+		case errors.Is(res.Err, solve.ErrSolverPanic):
+			panicked++
+		case res.Err != nil:
+			t.Errorf("batch item %d: %v", res.Index, res.Err)
+		}
+	}
+	if panicked != 1 {
+		t.Errorf("%d batch items failed with ErrSolverPanic, want 1", panicked)
+	}
+
+	// A sharded solve builds its region instances on the decomposition's
+	// workers.
+	sol.armed.Store(true)
+	sharded := solve.NewService(solve.Config{Registry: reg, Workers: 2, Budget: solve.Budget{MaxVertices: 80, MaxRegions: 3}})
+	big, err := solve.FromRMAT(rmat.SparseParams(200, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sharded.Solve(ctx, solve.Request{Solver: "dinic", Problem: big}); !errors.Is(err, solve.ErrSolverPanic) {
+		t.Errorf("a region constructor panic answered %v, want ErrSolverPanic", err)
+	}
+	if got := solve.MetricValue(t, sharded, "analogflow_solver_panics_total"); got != 1 {
+		t.Errorf("sharded solver_panics = %v, want 1", got)
+	}
 }

@@ -3,12 +3,16 @@ package solve
 import (
 	"context"
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"weak"
 
 	"analogflow/internal/graph"
 	"analogflow/internal/maxflow"
+	"analogflow/internal/rmat"
 )
 
 // cpuBackends are the exact backends whose one-shot instances return their
@@ -100,40 +104,90 @@ func TestOneShotResidualPoolSafety(t *testing.T) {
 }
 
 // TestOneShotCacheHitAnswersFromStoredFlow pins that a repeat of a one-shot
-// CPU solve is a cache hit answered from the stored flow and certificate:
-// the same flows, exact value and relative error, with no network rebuilt.
+// CPU solve is a cache hit answered from the stored report: the whole report,
+// wall time included, equals the first solve's, no network is rebuilt, and
+// an edit to a returned report does not reach the next one.  The grid's prune
+// keeps every edge; the R-MAT instance's prune removes some, so its flows are
+// expanded back to the original indexing.
 func TestOneShotCacheHitAnswersFromStoredFlow(t *testing.T) {
-	svc := NewService(Config{Workers: 1})
-	p, err := FromSegmentationGrid(16, 12, false, 5)
-	if err != nil {
-		t.Fatal(err)
+	problems := map[string]func() (*Problem, error){
+		"grid":         func() (*Problem, error) { return FromSegmentationGrid(16, 12, false, 5) },
+		"pruned R-MAT": func() (*Problem, error) { return FromRMAT(rmat.SparseParams(96, 4)) },
 	}
 	for _, solver := range cpuBackends {
 		t.Run(solver, func(t *testing.T) {
-			req := Request{Solver: solver, Problem: p}
-			first, err := svc.Solve(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
+			svc := NewService(Config{Workers: 1})
+			for name, build := range problems {
+				// Each request builds its own problem, as analogflowd does.
+				solve := func() *Report {
+					t.Helper()
+					p, err := build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := svc.Solve(context.Background(), Request{Solver: solver, Problem: p})
+					if err != nil {
+						t.Fatal(err)
+					}
+					verifyReport(t, p, rep)
+					return rep
+				}
+				first := solve()
+				if name == "pruned R-MAT" && first.PrunedEdges == 0 {
+					t.Fatal("the R-MAT instance's prune removed nothing")
+				}
+				want := *first
+				want.EdgeFlows = slices.Clone(first.EdgeFlows)
+				first.EdgeFlows[0]++ // a caller may edit its report
+				hits := MetricValue(t, svc, "analogflow_cache_events_total", "cache", "instance", "event", "hit")
+				again := solve()
+				if got := MetricValue(t, svc, "analogflow_cache_events_total", "cache", "instance", "event", "hit"); got != hits+1 {
+					t.Fatalf("%s: repeat solve: %g cache hits, want %g", name, got, hits+1)
+				}
+				p, _ := build()
+				if cachedNetwork(t, svc, p, solver) {
+					t.Errorf("%s: the cache hit rebuilt a residual network", name)
+				}
+				if !reflect.DeepEqual(*again, want) {
+					t.Errorf("%s: hit answered %+v, first solve %+v", name, again.Normalized(), want.Normalized())
+				}
+			}
+		})
+	}
+}
+
+// TestOneShotAnswerReleasesProblem pins that a cached one-shot CPU entry
+// keeps its answer, not its problem: once the request drops its references,
+// the problem's graph is garbage, while the entry stays cached and answers a
+// repeat.
+func TestOneShotAnswerReleasesProblem(t *testing.T) {
+	svc := NewService(Config{Workers: 1})
+	for _, solver := range cpuBackends {
+		t.Run(solver, func(t *testing.T) {
+			graphRef := solveAndForget(t, svc, solver)
+			runtime.GC()
+			if graphRef.Value() != nil {
+				t.Fatal("the cached entry keeps the problem's graph alive")
 			}
 			hits := MetricValue(t, svc, "analogflow_cache_events_total", "cache", "instance", "event", "hit")
-			again, err := svc.Solve(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
+			solveAndForget(t, svc, solver)
 			if got := MetricValue(t, svc, "analogflow_cache_events_total", "cache", "instance", "event", "hit"); got != hits+1 {
 				t.Fatalf("repeat solve: %g cache hits, want %g", got, hits+1)
 			}
-			if cachedNetwork(t, svc, p, solver) {
-				t.Error("the cache hit rebuilt a residual network")
-			}
-			if again.FlowValue != first.FlowValue || again.ExactValue != first.ExactValue || again.RelativeError != first.RelativeError {
-				t.Errorf("hit answered flow %g exact %g error %g, first solve %g %g %g",
-					again.FlowValue, again.ExactValue, again.RelativeError, first.FlowValue, first.ExactValue, first.RelativeError)
-			}
-			if !slices.Equal(again.EdgeFlows, first.EdgeFlows) {
-				t.Error("hit answered different edge flows")
-			}
-			verifyReport(t, p, again)
 		})
 	}
+}
+
+// solveAndForget solves a fresh copy of one grid through svc and returns a
+// weak pointer to its graph, holding no strong reference to the problem.
+func solveAndForget(t *testing.T, svc *Service, solver string) weak.Pointer[graph.Graph] {
+	t.Helper()
+	p, err := FromSegmentationGrid(16, 12, false, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Solve(context.Background(), Request{Solver: solver, Problem: p}); err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(p.Graph())
 }

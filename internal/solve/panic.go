@@ -37,8 +37,8 @@ func (e *SolverPanicError) Unwrap() error { return ErrSolverPanic }
 // guardSolve runs one solver invocation under recover, converting a panic
 // into a *SolverPanicError.  It is the failure-domain boundary between a
 // backend and the process: everything that calls third-party-shaped solver
-// code (instance solves, one-shot solves, in-place updates, region oracle
-// calls) goes through it.
+// code (instance construction and solves, one-shot solves, in-place
+// updates, region oracle calls) goes through it or guardErr.
 func guardSolve(solver string, f func() (*Report, error)) (rep *Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -50,7 +50,8 @@ func guardSolve(solver string, f func() (*Report, error)) (rep *Report, err erro
 }
 
 // guardErr is guardSolve for invocations that return only an error
-// (UpdatableInstance.Update).
+// (UpdatableInstance.Update, and instance construction, whose instance the
+// closure captures).
 func guardErr(solver string, f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -336,12 +336,14 @@ func (o *regionOracle) SolveRegion(ctx context.Context, region int, g *graph.Gra
 
 	if st.inst == nil {
 		var inst Instance
-		var err error
-		if us, ok := o.sol.(UpdatableSolver); ok {
-			inst, err = us.NewUpdatableInstance(st.prob)
-		} else if w, ok := o.sol.(Warmable); ok {
-			inst, err = w.NewInstance(st.prob)
-		}
+		err := guardErr(o.sol.Name(), func() (err error) {
+			if us, ok := o.sol.(UpdatableSolver); ok {
+				inst, err = us.NewUpdatableInstance(st.prob)
+			} else if w, ok := o.sol.(Warmable); ok {
+				inst, err = w.NewInstance(st.prob)
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -24,11 +24,13 @@ type Config struct {
 	Workers int
 	// MaxCachedInstances bounds each of the service's two warm-state tables;
 	// <= 0 selects 64.  The one-shot cache keeps one warm instance per
-	// (problem fingerprint, solver) pair for plain solves; the chain table
-	// keeps the warm state of each update chain (a flat instance or a
-	// sharded region oracle).  Past the bound a table evicts its
-	// least-recently-used entry (its engines and factorisations are garbage
-	// once no in-flight solve still holds them).
+	// (problem fingerprint, solver) pair for plain solves — for a CPU
+	// backend just its finished report — and is also bounded to 128 MiB of
+	// estimated heap; the chain table keeps the warm state of each update
+	// chain (a flat instance or a sharded region oracle).
+	// Past a bound a table evicts its least-recently-used entries (their
+	// engines and factorisations are garbage once no in-flight solve still
+	// holds them).
 	MaxCachedInstances int
 	// Budget is the service-wide substrate budget the partition planner
 	// enforces for problems that carry none of their own: a request whose
@@ -44,6 +46,12 @@ type Config struct {
 	// overruns the deadline.
 	MaxQueue int
 }
+
+// maxCacheBytes is the one-shot cache's byte ceiling.  Ready entries report
+// the heap they retain (see retainer); while the sum is above the ceiling,
+// the cache evicts least-recently-used entries as it does past
+// Config.MaxCachedInstances.
+const maxCacheBytes = 128 << 20
 
 // Service is the concurrent batch engine on top of the registry: it fans a
 // batch of requests across a bounded worker pool (internal/parallel) and
@@ -65,6 +73,7 @@ type Service struct {
 	reg       *Registry
 	workers   int
 	maxCached int
+	maxBytes  int64 // maxCacheBytes; tests lower it
 	budget    Budget
 	// adm is the service-wide admission queue: a priority-laned worker-slot
 	// semaphore that sheds requests whose deadline the queue cannot meet
@@ -84,6 +93,7 @@ type Service struct {
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
 	tick  int64
+	bytes int64 // the sum of the ready cache entries' bytes
 
 	// chains holds the warm state of every update chain.
 	chains *chainTable
@@ -115,18 +125,25 @@ type Service struct {
 
 // cacheEntry is one warm instance slot.  The sync.Once makes instance
 // construction race-free without holding the service lock across the
-// (potentially expensive) preprocessing.
+// (potentially expensive) preprocessing.  Every field after once is written
+// under the service's mu.
 type cacheEntry struct {
 	once    sync.Once
 	inst    Instance
 	err     error
-	lastUse atomic.Int64
-	// ready flips to true when once.Do has completed.  The eviction pass
-	// skips entries that are still under construction: evicting one would
-	// orphan the instance being built while a concurrent request for the
-	// same fingerprint rebuilds it from scratch.
-	ready atomic.Bool
+	lastUse int64
+	// ready flips to true when construction has completed.  The eviction
+	// pass skips entries that are still under construction: evicting one
+	// would orphan the instance being built while a concurrent request for
+	// the same fingerprint rebuilds it from scratch.
+	ready bool
+	// bytes is the ready instance's retained heap, counted in Service.bytes.
+	bytes int64
 }
+
+// retainer is implemented by instances that report the heap they retain
+// while cached; any other instance counts as 0 bytes.
+type retainer interface{ retainedBytes() int64 }
 
 // NewService builds a service from the configuration.
 func NewService(cfg Config) *Service {
@@ -147,6 +164,7 @@ func NewService(cfg Config) *Service {
 		reg:       reg,
 		workers:   workers,
 		maxCached: maxCached,
+		maxBytes:  maxCacheBytes,
 		budget:    cfg.Budget,
 		adm:       newAdmitter(workers, cfg.MaxQueue),
 		ema:       newBackendWindows(mreg),
@@ -198,6 +216,12 @@ func (s *Service) registerInstruments() {
 	}
 	m.GaugeFunc("analogflow_cached_instances", "Warm flat instances held: one-shot cache entries plus flat update chains.", nil,
 		func() float64 { instances, _ := s.cached(); return float64(instances) })
+	m.GaugeFunc("analogflow_cache_bytes", "Estimated heap bytes a cache retains.", metrics.Labels{"cache": "instance"},
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.bytes)
+		})
 	m.GaugeFunc("analogflow_cached_oracles", "Sharded update chains holding a warm region oracle.", nil,
 		func() float64 { _, oracles := s.cached(); return float64(oracles) })
 	m.GaugeFunc("analogflow_warm_hit_ratio", "Warm-hit rate per cache.", metrics.Labels{"cache": "instance"},
@@ -296,14 +320,16 @@ func (s *Service) run(ctx context.Context, lane int, deadline time.Time, solver,
 		return nil, err
 	}
 	s.inFlight.Add(1)
+	defer func() {
+		s.meter.Mark(1)
+		s.inFlight.Add(-1)
+		s.adm.release()
+	}()
 	start := time.Now()
 	rep, err := f(ctx)
 	if err == nil {
 		s.ema.observeOp(solver, op, time.Since(start))
 	}
-	s.meter.Mark(1)
-	s.inFlight.Add(-1)
-	s.adm.release()
 	return rep, err
 }
 
@@ -521,8 +547,8 @@ func (s *Service) slotBound(inner decompose.Oracle) decompose.Oracle {
 // evicting a fresh replacement a concurrent request already rebuilt.
 func (s *Service) dropInstance(key string, inst Instance) {
 	s.mu.Lock()
-	if e, ok := s.cache[key]; ok && e.ready.Load() && e.inst == inst {
-		delete(s.cache, key)
+	if e, ok := s.cache[key]; ok && e.ready && e.inst == inst {
+		s.removeLocked(key, e)
 	}
 	s.mu.Unlock()
 }
@@ -544,7 +570,8 @@ func (s *Service) Release(p *Problem, solver string) {
 }
 
 // instance returns the one-shot warm instance for the (problem, solver)
-// pair, creating and caching it on first use.
+// pair, creating and caching it on first use.  Construction runs under the
+// panic guard: a panic fails the request with a *SolverPanicError.
 func (s *Service) instance(w Warmable, p *Problem) (Instance, error) {
 	key := p.Fingerprint() + "|" + w.Name()
 	s.mu.Lock()
@@ -555,7 +582,7 @@ func (s *Service) instance(w Warmable, p *Problem) (Instance, error) {
 		s.evictLocked(e)
 	}
 	s.tick++
-	e.lastUse.Store(s.tick)
+	e.lastUse = s.tick
 	s.mu.Unlock()
 	if ok {
 		s.hits.Add(1)
@@ -564,44 +591,61 @@ func (s *Service) instance(w Warmable, p *Problem) (Instance, error) {
 	}
 
 	e.once.Do(func() {
-		e.inst, e.err = w.NewInstance(p)
-		e.ready.Store(true)
-	})
-	if e.err != nil {
-		// A failed construction is not worth caching: drop the entry so a
-		// later (possibly fixed) problem with the same fingerprint retries.
-		s.mu.Lock()
-		if s.cache[key] == e {
-			delete(s.cache, key)
+		var inst Instance
+		err := guardErr(w.Name(), func() (err error) {
+			inst, err = w.NewInstance(p)
+			return err
+		})
+		var bytes int64
+		if r, ok := inst.(retainer); ok && err == nil {
+			bytes = r.retainedBytes()
 		}
-		s.mu.Unlock()
-		return nil, e.err
-	}
-	return e.inst, nil
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		e.inst, e.err, e.ready = inst, err, true
+		if err != nil {
+			// A failed construction is not worth caching: drop the entry so
+			// a later (possibly fixed) problem with the same fingerprint
+			// retries.
+			delete(s.cache, key)
+			return
+		}
+		e.bytes = bytes
+		s.bytes += bytes
+		s.evictLocked(e)
+	})
+	return e.inst, e.err
 }
 
 // evictLocked drops least-recently-used entries (never keep, never an entry
-// whose construction is still in flight — see cacheEntry.ready) until the
-// cache respects its bound.  When every other entry is under construction the
-// cache is allowed to run over its bound temporarily; the next insert evicts
-// once those constructions finish.  Callers hold s.mu.
+// whose construction is still in flight — see cacheEntry.ready) while the
+// cache holds more than maxCached entries or more than maxBytes.  When every
+// other entry is under construction the cache is allowed to run over its
+// bounds temporarily; the next insert evicts once those constructions
+// finish.  Callers hold s.mu.
 func (s *Service) evictLocked(keep *cacheEntry) {
-	for len(s.cache) > s.maxCached {
+	for len(s.cache) > s.maxCached || s.bytes > s.maxBytes {
 		var victimKey string
 		var victim *cacheEntry
 		for k, e := range s.cache {
-			if e == keep || !e.ready.Load() {
+			if e == keep || !e.ready {
 				continue
 			}
-			if victim == nil || e.lastUse.Load() < victim.lastUse.Load() {
+			if victim == nil || e.lastUse < victim.lastUse {
 				victimKey, victim = k, e
 			}
 		}
 		if victim == nil {
 			return
 		}
-		delete(s.cache, victimKey)
+		s.removeLocked(victimKey, victim)
 	}
+}
+
+// removeLocked deletes a cache entry and its bytes.  Callers hold s.mu.
+func (s *Service) removeLocked(key string, e *cacheEntry) {
+	delete(s.cache, key)
+	s.bytes -= e.bytes
 }
 
 // SolveBatch runs every request across the service's bounded worker pool
@@ -864,7 +908,11 @@ func (s *Service) updateInstance(us UpdatableSolver, base, target *Problem) (Upd
 		}
 	}
 	s.misses.Add(1)
-	inst, err := us.NewUpdatableInstance(target)
+	var inst UpdatableInstance
+	err := guardErr(us.Name(), func() (err error) {
+		inst, err = us.NewUpdatableInstance(target)
+		return err
+	})
 	if err != nil {
 		return nil, false, err
 	}

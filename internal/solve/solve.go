@@ -238,13 +238,10 @@ func (r *Report) AppendJSON(b []byte) ([]byte, error) {
 }
 
 // flowReport converts a flow on the original graph into the common report
-// fields shared by the exact backends.
+// fields shared by the exact backends.  The report takes f's edge slice, so
+// callers pass a flow nothing else holds.
 func flowReport(name string, f *graph.Flow) *Report {
-	return &Report{
-		Solver:    name,
-		FlowValue: f.Value,
-		EdgeFlows: append([]float64(nil), f.Edge...),
-	}
+	return &Report{Solver: name, FlowValue: f.Value, EdgeFlows: f.Edge}
 }
 
 // ErrUnknownSolver is returned when a registry lookup fails; the error
