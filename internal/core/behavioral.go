@@ -28,7 +28,7 @@ import (
 func (s *Solver) solveBehavioralPrepared(ctx context.Context, prep *Prepared) (*Result, error) {
 	if prep.Empty() {
 		empty := s.emptyResult(prep, ModeBehavioral)
-		if err := s.finalizeEmpty(ctx, empty, prep.original); err != nil {
+		if err := s.finalizeEmpty(ctx, empty, prep); err != nil {
 			return nil, err
 		}
 		return empty, nil
@@ -111,16 +111,14 @@ func (s *Solver) solveBehavioralPrepared(ctx context.Context, prep *Prepared) (*
 	return res, nil
 }
 
-// finalizeEmpty fills the reference value for instances with no s-t path.
-func (s *Solver) finalizeEmpty(ctx context.Context, res *Result, g *graph.Graph) error {
-	exact, err := maxflow.OptimalValueContext(ctx, g)
+// finalizeEmpty fills the reference value, from the instance's memo, for
+// instances with nothing to map onto the substrate.
+func (s *Solver) finalizeEmpty(ctx context.Context, res *Result, prep *Prepared) error {
+	exact, err := prep.ExactValue(ctx)
 	if err != nil {
 		return err
 	}
 	res.ExactValue = exact
-	res.RelativeError = math.Abs(res.FlowValue - exact)
-	if exact != 0 {
-		res.RelativeError /= exact
-	}
+	res.RelativeError = graph.RelativeError(res.FlowValue, exact)
 	return nil
 }

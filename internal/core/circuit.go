@@ -19,7 +19,7 @@ import (
 func (s *Solver) solveCircuitPrepared(ctx context.Context, prep *Prepared) (*Result, error) {
 	if prep.Empty() {
 		empty := s.emptyResult(prep, ModeCircuit)
-		if err := s.finalizeEmpty(ctx, empty, prep.original); err != nil {
+		if err := s.finalizeEmpty(ctx, empty, prep); err != nil {
 			return nil, err
 		}
 		return empty, nil

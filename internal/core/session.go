@@ -356,29 +356,18 @@ func (sess *Session) solveCircuitLocked(ctx context.Context, solver *Solver) (*R
 	prep := sess.prep
 	if prep.Empty() {
 		empty := solver.emptyResult(prep, ModeCircuit)
-		if err := solver.finalizeEmpty(ctx, empty, prep.original); err != nil {
+		if err := solver.finalizeEmpty(ctx, empty, prep); err != nil {
 			return nil, err
 		}
 		return empty, nil
 	}
 	if sess.eng == nil {
+		// A parked edge's widget stamps at all its coordinates (a 0 V clamp
+		// changes element values, not element presence), so unparking stays
+		// on the engine's numeric-only refactorization path.
 		c, eng, err := solver.buildCircuitOpts(prep.work, prep.clamps, sess.updatable)
 		if err != nil {
 			return nil, err
-		}
-		if sess.updatable {
-			// Pin the diagonal coordinates of every parked edge's node into
-			// the frozen sparsity pattern before the first factorization.
-			// Parked widgets already stamp nonzero at all their coordinates
-			// (a 0 V clamp changes element values, not element presence), so
-			// this is the formal guarantee that unparking stays on the
-			// numeric-only refactorization path whatever the stamp values do.
-			if parked := prep.work.ParkedEdges(); len(parked) > 0 {
-				eng.ReserveSlack(len(parked))
-				for _, i := range parked {
-					eng.ReserveSlackAt(int(c.EdgeNode[i]), int(c.EdgeNode[i]))
-				}
-			}
 		}
 		sess.circ, sess.eng = c, eng
 	}

@@ -448,11 +448,7 @@ func (s *Solver) finalize(ctx context.Context, res *Result, prep *Prepared, work
 		return err
 	}
 	res.ExactValue = exact
-	if exact != 0 {
-		res.RelativeError = math.Abs(res.FlowValue-exact) / exact
-	} else {
-		res.RelativeError = math.Abs(res.FlowValue)
-	}
+	res.RelativeError = graph.RelativeError(res.FlowValue, exact)
 	res.ProgrammingTime = float64(prep.work.NumVertices()) * s.params.Crossbar.CycleTime
 	res.SubstratePower = s.params.Power.SubstratePower(prep.work.NumVertices(), prep.work.NumEdges())
 	res.Energy = s.params.Power.Energy(prep.work.NumVertices(), prep.work.NumEdges(), res.ConvergenceTime)

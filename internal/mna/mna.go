@@ -183,22 +183,6 @@ func (e *Engine) BranchBase(i int) int { return e.branchOf[i] }
 // Stats returns the cumulative linear-algebra work counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// ReserveSlack grows the engine builder's slack-reservation budget by n
-// positions (see numeric.SparseBuilder.ReserveSlack).  Updatable sessions use
-// it before the first solve to pin the coordinates of parked-edge widgets into
-// the first frozen pattern, so a later unpark — whose stamps are value changes
-// at those coordinates — can never grow the pattern and invalidate the cached
-// symbolic factorization.
-func (e *Engine) ReserveSlack(n int) { e.builder.ReserveSlack(n) }
-
-// ReserveSlackAt registers (r, c) as a reserved slack coordinate of the MNA
-// matrix, drawing on the ReserveSlack budget; it reports whether the
-// coordinate is covered (in-pattern coordinates are covered for free).
-func (e *Engine) ReserveSlackAt(r, c int) bool { return e.builder.ReserveSlackAt(r, c) }
-
-// SlackRemaining returns the engine builder's unconsumed slack budget.
-func (e *Engine) SlackRemaining() int { return e.builder.SlackRemaining() }
-
 // SetInterrupt installs (or clears, with nil) a cancellation poll that every
 // Newton iteration checks before doing any work.  Callers that thread a
 // context.Context through a solve install `ctx.Err` here; the engine returns

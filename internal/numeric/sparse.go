@@ -36,14 +36,6 @@ type SparseBuilder struct {
 	rowidx  []int         // frozen pattern, shared with compiled matrices
 	vals    []float64     // frozen-mode accumulation buffer
 	version int           // bumped whenever the frozen pattern changes
-
-	// Slack reservation (ReserveSlack / ReserveSlackAt): explicitly declared
-	// coordinates that join the pattern as structural zeros at the next
-	// freeze, so later stamps there are in-pattern value updates instead of
-	// pattern growth.  reserved holds coordinates awaiting a freeze; slack is
-	// the remaining reservation budget.
-	reserved map[Coord]bool
-	slack    int
 }
 
 // NewSparseBuilder creates a builder for an n x n matrix.
@@ -92,61 +84,6 @@ func (b *SparseBuilder) Reset() {
 // first Compile and increases every time the pattern changes.
 func (b *SparseBuilder) PatternVersion() int { return b.version }
 
-// ReserveSlack grows the slack-reservation budget by n positions.  Each unit
-// lets one ReserveSlackAt register a coordinate that is not (yet) part of the
-// sparsity pattern.
-//
-// Slack positions exist because the cached symbolic LU analysis is only
-// reusable for matrices whose pattern it was computed for: SparseLU.Refactor
-// scatters every entry of the input but gathers only at the analysed
-// positions, so an out-of-pattern stamp silently corrupts later columns.  A
-// coordinate must therefore be IN the pattern — as a structural zero — before
-// the symbolic analysis runs for numeric-only refactorization to stay sound.
-// Reserving coordinates before the first Compile folds them into the first
-// frozen pattern for free; reserving later costs exactly one pattern bump at
-// the next Compile, after which stamps there are plain value updates.  A
-// stamp at a coordinate that was never reserved (the slack pool is exhausted
-// or was never sized for it) still works, but grows the pattern and bumps
-// PatternVersion, invalidating cached symbolic analyses — the honest cold
-// path.
-func (b *SparseBuilder) ReserveSlack(n int) {
-	if n > 0 {
-		b.slack += n
-	}
-}
-
-// ReserveSlackAt registers coordinate (r, c) as a reserved slack position and
-// reports whether the coordinate is covered.  Coordinates already in the
-// frozen pattern (or already reserved) are covered for free; a genuinely new
-// coordinate consumes one unit of the ReserveSlack budget.  It returns false
-// — and registers nothing — when the budget is exhausted.
-func (b *SparseBuilder) ReserveSlackAt(r, c int) bool {
-	if r < 0 || r >= b.n || c < 0 || c >= b.n {
-		panic(fmt.Sprintf("numeric: slack reservation (%d,%d) outside %dx%d matrix", r, c, b.n, b.n))
-	}
-	coord := Coord{r, c}
-	if b.frozen {
-		if _, ok := b.pos[coord]; ok {
-			return true
-		}
-	}
-	if b.reserved[coord] {
-		return true
-	}
-	if b.slack <= 0 {
-		return false
-	}
-	if b.reserved == nil {
-		b.reserved = make(map[Coord]bool)
-	}
-	b.reserved[coord] = true
-	b.slack--
-	return true
-}
-
-// SlackRemaining returns the unconsumed slack-reservation budget.
-func (b *SparseBuilder) SlackRemaining() int { return b.slack }
-
 // Compile converts the accumulated entries into a CSC matrix.
 func (b *SparseBuilder) Compile() *CSC {
 	return b.CompileInto(&CSC{})
@@ -159,7 +96,7 @@ func (b *SparseBuilder) Compile() *CSC {
 // compiled into two matrices that need to stay independent across a pattern
 // change.
 func (b *SparseBuilder) CompileInto(m *CSC) *CSC {
-	if !b.frozen || len(b.entries) > 0 || len(b.reserved) > 0 {
+	if !b.frozen || len(b.entries) > 0 {
 		b.refreeze()
 	}
 	m.N = b.n
@@ -180,7 +117,7 @@ func (b *SparseBuilder) refreeze() {
 		c Coord
 		v float64
 	}
-	merged := make([]cv, 0, len(b.rowidx)+len(b.entries)+len(b.reserved))
+	merged := make([]cv, 0, len(b.rowidx)+len(b.entries))
 	for col := 0; col+1 < len(b.colptr); col++ {
 		for p := b.colptr[col]; p < b.colptr[col+1]; p++ {
 			merged = append(merged, cv{Coord{b.rowidx[p], col}, b.vals[p]})
@@ -188,19 +125,6 @@ func (b *SparseBuilder) refreeze() {
 	}
 	for c, v := range b.entries {
 		merged = append(merged, cv{c, v})
-	}
-	// Reserved slack coordinates join as structural zeros, so the symbolic
-	// analysis of the new pattern already covers their future stamps.
-	for c := range b.reserved {
-		if _, hit := b.entries[c]; hit {
-			continue
-		}
-		if b.frozen {
-			if _, hit := b.pos[c]; hit {
-				continue
-			}
-		}
-		merged = append(merged, cv{c, 0})
 	}
 	sort.Slice(merged, func(i, j int) bool {
 		if merged[i].c.Col != merged[j].c.Col {
@@ -227,7 +151,6 @@ func (b *SparseBuilder) refreeze() {
 		b.colptr[col] = len(merged)
 	}
 	clear(b.entries)
-	clear(b.reserved)
 	b.frozen = true
 	b.version++
 }

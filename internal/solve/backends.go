@@ -56,15 +56,6 @@ func (a *analogSolver) Solve(ctx context.Context, p *Problem) (*Report, error) {
 	return inst.Solve(ctx)
 }
 
-// stamped sets rep.WallTime to the elapsed solver-proper time.  Backends
-// stamp their own reports so the figure measures the algorithm, not the
-// shared lazy preprocessing or the exact-reference solve that may piggyback
-// on the first call (Registry/Service only fill WallTime when it is unset).
-func stamped(rep *Report, start time.Time) *Report {
-	rep.WallTime = time.Since(start)
-	return rep
-}
-
 // NewInstance builds a session around the problem's shared preprocessing
 // artifacts, with the backend's mode forced onto the parameters.
 func (a *analogSolver) NewInstance(p *Problem) (Instance, error) {
@@ -140,7 +131,7 @@ func (i *analogInstance) Solve(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return stamped(reportFromCore(i.name, res), start), nil
+	return i.p.finish(ctx, i.name, reportFromCore(res), nil, reference, time.Since(start))
 }
 
 func (i *analogInstance) retainedBytes() int64 { return i.sess.HeapBytes() }
@@ -149,13 +140,12 @@ func (i *analogInstance) retainedBytes() int64 { return i.sess.HeapBytes() }
 // tests and diagnostics.
 func (i *analogInstance) session() *core.Session { return i.sess }
 
-// reportFromCore lifts a core.Result into the unified report.
-func reportFromCore(name string, res *core.Result) *Report {
-	rep := &Report{
-		Solver:          name,
+// reportFromCore lifts a core.Result, whose flow core has already expanded
+// to the original edge indexing, into an unfinished report.
+func reportFromCore(res *core.Result) *Report {
+	return &Report{
 		FlowValue:       res.FlowValue,
-		ExactValue:      res.ExactValue,
-		RelativeError:   res.RelativeError,
+		EdgeFlows:       res.Flow.Edge,
 		ConvergenceTime: res.ConvergenceTime,
 		ProgrammingTime: res.ProgrammingTime,
 		SubstratePower:  res.SubstratePower,
@@ -164,10 +154,6 @@ func reportFromCore(name string, res *core.Result) *Report {
 		PrunedVertices:  res.PrunedVertices,
 		PrunedEdges:     res.PrunedEdges,
 	}
-	if res.Flow != nil {
-		rep.EdgeFlows = append([]float64(nil), res.Flow.Edge...)
-	}
-	return rep
 }
 
 // --- exact CPU backends (dinic, edmonds-karp, push-relabel) ----------------
@@ -279,44 +265,20 @@ func (i *cpuInstance) solveLocked(ctx context.Context) (*Report, error) {
 		i.dropNet()
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	// The flow value and the residual cut's capacity may differ by
-	// round-off only.
-	tol := 1e-9 * math.Max(1, math.Abs(f.Value))
-	certified := i.alg != maxflow.Dinic && i.net.Certify(f.Value, tol) == nil
+	wall := time.Since(start)
+	pf := reference
+	if i.alg == maxflow.Dinic {
+		pf = dinicFlow
+	} else if i.net.Certify(f.Value, 1e-9*math.Max(1, math.Abs(f.Value))) == nil {
+		// The tolerance admits round-off between the flow value and the
+		// residual cut's capacity.
+		pf = certified
+	}
 	if i.oneShot {
 		// The flow is a copy, so nothing reads the residual again.
 		i.dropNet()
 	}
-	rep, err := i.finish(ctx, f, certified)
-	if err != nil {
-		return nil, err
-	}
-	rep.WallTime = elapsed
-	return rep, nil
-}
-
-// finish turns f, a maximum flow of p's s-t core, into p's report: the flow
-// in original indexing and the exact value, which a certified flow proves
-// itself and any other reads from the problem's Dinic reference.
-func (i *cpuInstance) finish(ctx context.Context, f *graph.Flow, certified bool) (*Report, error) {
-	if i.alg == maxflow.Dinic {
-		// A Dinic solve of the core is bit-identical to the reference
-		// computation the memo would run, so seed it instead of solving
-		// twice.
-		i.p.pipe.exact.Seed(f.Value)
-	}
-	_, pr := i.p.STCore()
-	rep := expandedFlowReport(i.p, i.name, f, pr)
-	if certified {
-		// The certificate proves the value optimal.  It seeds no memo: the
-		// other exact algorithms may differ from Dinic in the last ulp, and
-		// the shared reference must not depend on backend order.
-		rep.ExactValue = rep.FlowValue
-	} else if err := i.p.fillExact(ctx, rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return i.p.finish(ctx, i.name, &Report{}, f, pf, wall)
 }
 
 // Update absorbs a capacity-only or structural update.  Capacity changes (a
@@ -365,21 +327,6 @@ func (c *cpuSolver) Solve(ctx context.Context, p *Problem) (*Report, error) {
 	return c.oneShot(p).Solve(ctx)
 }
 
-// expandedFlowReport maps a core-domain flow back onto the original graph
-// (a no-op when the prune kept the problem's graph itself) and fills the
-// prune accounting.  Like flowReport, the report may take f's edge slice.
-func expandedFlowReport(p *Problem, name string, f *graph.Flow, pr *graph.PruneResult) *Report {
-	if pr != nil && pr.Graph != p.Graph() {
-		f = pr.ExpandFlow(p.Graph(), f)
-	}
-	rep := flowReport(name, f)
-	if pr != nil {
-		rep.PrunedVertices = pr.RemovedVertices
-		rep.PrunedEdges = pr.RemovedEdges
-	}
-	return rep
-}
-
 // --- LP backend ------------------------------------------------------------
 
 type lpSolver struct{ desc string }
@@ -388,15 +335,11 @@ func (l *lpSolver) Name() string     { return "lp" }
 func (l *lpSolver) Describe() string { return l.desc }
 
 func (l *lpSolver) Solve(ctx context.Context, p *Problem) (*Report, error) {
-	coreG, pr := p.STCore()
+	coreG, _ := p.STCore()
 	if coreG.NumEdges() == 0 {
 		// The LP formulation rejects edgeless programs; an edgeless core
-		// means the max-flow is zero.
-		rep := flowReport(l.Name(), graph.NewFlow(p.Graph()))
-		if err := p.fillExact(ctx, rep); err != nil {
-			return nil, err
-		}
-		return rep, nil
+		// means the max-flow is zero, and no simplex runs.
+		return p.finish(ctx, l.Name(), &Report{}, graph.NewFlow(coreG), reference, 0)
 	}
 	// Formulate and solve directly (rather than via lp.SolveMaxFlowLPContext)
 	// so the simplex pivot count reaches the report's Iterations field.
@@ -409,18 +352,11 @@ func (l *lpSolver) Solve(ctx context.Context, p *Problem) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
+	wall := time.Since(start)
 	f := graph.NewFlow(coreG)
 	copy(f.Edge, res.X)
 	f.RecomputeValue(coreG)
-	rep := expandedFlowReport(p, l.Name(), f, pr)
-	if err := p.fillExact(ctx, rep); err != nil {
-		return nil, err
-	}
-	rep.Iterations = res.Iterations
-	rep.Converged = true
-	rep.WallTime = elapsed
-	return rep, nil
+	return p.finish(ctx, l.Name(), &Report{Iterations: res.Iterations, Converged: true}, f, reference, wall)
 }
 
 // --- decomposition backend -------------------------------------------------
@@ -466,19 +402,9 @@ func (d *decomposeSolver) solveWithBudget(ctx context.Context, p *Problem, b Bud
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
+	wall := time.Since(start)
 	plan.Regions = res.Regions
 	plan.RegionVertices = res.SubproblemSizes
-	rep := &Report{
-		Solver:     d.Name(),
-		FlowValue:  res.FlowValue,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Plan:       plan,
-		WallTime:   elapsed,
-	}
-	if err := p.fillExact(ctx, rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	rep := &Report{FlowValue: res.FlowValue, Iterations: res.Iterations, Converged: res.Converged, Plan: plan}
+	return p.finish(ctx, d.Name(), rep, nil, reference, wall)
 }

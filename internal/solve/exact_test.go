@@ -16,50 +16,119 @@ import (
 // value.
 func exactMemoCold(p *Problem) bool { return !p.pipe.exact.Done() }
 
-// solveVia runs one backend on p through the registry or a fresh service.
-func solveVia(t *testing.T, via, name string, p *Problem) *Report {
+// routes are the entry paths solveVia takes into a backend.
+var routes = []string{"registry", "service", "cached", "chain", "update", "sharded"}
+
+// solveVia runs one backend on p along one entry path and returns the
+// report with the problem it answers for:
+//   - registry: Registry.Solve;
+//   - service: a fresh service's Solve;
+//   - cached: the second of two solves on one service, a cache hit for a
+//     warmable backend;
+//   - chain: a chain start (Request.Updatable);
+//   - update: one capacity Service.Update step from a chain started at p,
+//     which raises edge 0's capacity by one; the report answers for the
+//     step's problem;
+//   - sharded: a solve under a service budget one vertex below p's size,
+//     which the planner shards when the partition splits.
+//
+// Every report must name its backend and carry the relative error of its
+// flow value against its exact value, bit for bit.
+func solveVia(t *testing.T, via, name string, p *Problem) (*Report, *Problem) {
 	t.Helper()
+	ctx := context.Background()
+	svc := NewService(Config{Workers: 1})
+	solve := func(updatable bool) (*Report, error) {
+		return svc.Solve(ctx, Request{Solver: name, Problem: p, Updatable: updatable})
+	}
 	var rep *Report
 	var err error
 	switch via {
 	case "registry":
-		rep, err = DefaultRegistry().Solve(context.Background(), name, p)
+		rep, err = DefaultRegistry().Solve(ctx, name, p)
 	case "service":
-		rep, err = NewService(Config{Workers: 1}).Solve(context.Background(), Request{Solver: name, Problem: p})
+		rep, err = solve(false)
+	case "cached":
+		if _, err = solve(false); err == nil {
+			rep, err = solve(false)
+		}
+	case "chain":
+		rep, err = solve(true)
+	case "update":
+		if _, err = solve(true); err == nil {
+			var res *UpdateResult
+			up := graph.CapacityUpdate{Edges: []int{0}, Capacities: []float64{p.Graph().Edge(0).Capacity + 1}}
+			if res, err = svc.Update(ctx, UpdateRequest{Solver: name, Problem: p, Update: up}); err == nil {
+				rep, p = res.Report, res.Problem
+			}
+		}
+	case "sharded":
+		svc = NewService(Config{Workers: 1, Budget: Budget{MaxVertices: p.Graph().NumVertices() - 1}})
+		rep, err = solve(false)
 	default:
 		t.Fatalf("unknown route %q", via)
 	}
 	if err != nil {
 		t.Fatalf("%s via %s: %v", name, via, err)
 	}
-	return rep
+	if rep.Solver != name {
+		t.Errorf("%s via %s: report names %q", name, via, rep.Solver)
+	}
+	if want := graph.RelativeError(rep.FlowValue, rep.ExactValue); math.Float64bits(rep.RelativeError) != math.Float64bits(want) {
+		t.Errorf("%s via %s: relative error %v, want graph.RelativeError(%v, %v) = %v",
+			name, via, rep.RelativeError, rep.FlowValue, rep.ExactValue, want)
+	}
+	return rep, p
+}
+
+// sharded reports whether the planner split the report's problem.
+func sharded(rep *Report) bool { return rep.Plan != nil && rep.Plan.Sharded }
+
+// dinicReference is the Dinic value of p's s-t core, the reference every
+// uncertified report reads.
+func dinicReference(t *testing.T, p *Problem) float64 {
+	t.Helper()
+	coreG, _ := p.STCore()
+	exact, err := maxflow.OptimalValue(coreG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exact
 }
 
 // TestCPUReportsCertifyTheirOptimum pins the certified exact value:
-// push-relabel and Edmonds-Karp reports, through the registry and the
-// service alike, carry ExactValue == FlowValue and RelativeError 0, agree
-// with Dinic to 1e-9 relative, and leave the problem's Dinic memo cold — no
-// second max-flow solve ran.
+// push-relabel and Edmonds-Karp reports, along every entry path, carry
+// ExactValue == FlowValue and RelativeError 0, agree with Dinic to 1e-9
+// relative, and leave the problem's Dinic memo cold — no second max-flow
+// solve ran.  A sharded report follows the reference row instead: it reads
+// the Dinic reference, whatever its regions certified.
 func TestCPUReportsCertifyTheirOptimum(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat": rmat.MustGenerate(rmat.SparseParams(96, 3)),
 		"grid": graph.MustSegmentationGrid(32, 24, true, 4),
 	}
 	for gname, g := range graphs {
-		exact, err := maxflow.OptimalValue(g)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, name := range []string{"push-relabel", "edmonds-karp"} {
-			for _, via := range []string{"registry", "service"} {
+			for _, via := range routes {
 				p, err := NewProblem(g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep := solveVia(t, via, name, p)
+				rep, p := solveVia(t, via, name, p)
+				if sharded(rep) {
+					if exact := dinicReference(t, p); rep.ExactValue != exact {
+						t.Errorf("%s/%s via %s: sharded exact value %v, want the Dinic reference %v",
+							gname, name, via, rep.ExactValue, exact)
+					}
+					continue
+				}
 				if rep.ExactValue != rep.FlowValue || rep.RelativeError != 0 {
 					t.Errorf("%s/%s via %s: exact %v, flow %v, relative error %v; want a certified report",
 						gname, name, via, rep.ExactValue, rep.FlowValue, rep.RelativeError)
+				}
+				exact, err := maxflow.OptimalValue(p.Graph())
+				if err != nil {
+					t.Fatal(err)
 				}
 				if math.Abs(rep.FlowValue-exact) > 1e-9*math.Max(1, exact) {
 					t.Errorf("%s/%s via %s: flow %v, dinic %v", gname, name, via, rep.FlowValue, exact)
@@ -72,10 +141,10 @@ func TestCPUReportsCertifyTheirOptimum(t *testing.T) {
 	}
 }
 
-// TestFailedCertificateFallsBackToDinic pins the fallback: a CPU instance
-// whose residual does not certify its claimed flow — here a zero flow passed
-// off as maximum, the shape of a kernel defect — reports the Dinic reference
-// and the resulting non-zero relative error.
+// TestFailedCertificateFallsBackToDinic pins the fallback: a CPU flow whose
+// residual does not certify it — here a zero flow passed off as maximum, the
+// shape of a kernel defect — is finished against the Dinic reference, with
+// the resulting non-zero relative error.
 func TestFailedCertificateFallsBackToDinic(t *testing.T) {
 	p, err := NewProblem(rmat.MustGenerate(rmat.SparseParams(48, 6)))
 	if err != nil {
@@ -86,8 +155,11 @@ func TestFailedCertificateFallsBackToDinic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := &cpuInstance{alg: maxflow.PushRelabel, name: "push-relabel", p: p}
-	rep, err := inst.finish(context.Background(), net.Flow(), net.Certify(0, 1e-9) == nil)
+	pf := reference
+	if net.Certify(0, 1e-9) == nil {
+		pf = certified
+	}
+	rep, err := p.finish(context.Background(), "push-relabel", &Report{}, net.Flow(), pf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,31 +177,53 @@ func TestFailedCertificateFallsBackToDinic(t *testing.T) {
 }
 
 // TestReferenceBackendsKeepDinicReference pins that the backends without a
-// certificate still report against the problem's Dinic reference: dinic
-// seeds it, and behavioral, lp and decompose read it.
+// certificate still report against the problem's Dinic reference along
+// every entry path: dinic seeds it, and behavioral, lp and decompose read
+// it.  The instances are a sparse R-MAT graph and one whose s-t core the
+// prune empties (0→1 and 2→3 with s = 0, t = 3), on which every flow
+// backend reports the prune counts dinic reports.
 func TestReferenceBackendsKeepDinicReference(t *testing.T) {
-	g := rmat.MustGenerate(rmat.SparseParams(24, 7))
-	coreG := graph.PruneToSTCore(g).Graph
-	exact, err := maxflow.OptimalValue(coreG)
+	empty, err := graph.New(4, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"dinic", "behavioral", "lp", "decompose"} {
-		for _, via := range []string{"registry", "service"} {
-			p, err := NewProblem(g)
-			if err != nil {
-				t.Fatal(err)
+	empty.MustAddEdge(0, 1, 1)
+	empty.MustAddEdge(2, 3, 1)
+	graphs := map[string]*graph.Graph{"rmat": rmat.MustGenerate(rmat.SparseParams(24, 7)), "empty": empty}
+	for gname, g := range graphs {
+		for _, via := range routes {
+			for _, name := range []string{"dinic", "behavioral", "lp", "decompose"} {
+				p, err := NewProblem(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, p := solveVia(t, via, name, p)
+				if exact := dinicReference(t, p); rep.ExactValue != exact {
+					t.Errorf("%s/%s via %s: exact value %v, want the Dinic reference %v", gname, name, via, rep.ExactValue, exact)
+				}
+				if exactMemoCold(p) {
+					t.Errorf("%s/%s via %s: the Dinic reference was not memoised", gname, name, via)
+				}
 			}
-			rep := solveVia(t, via, name, p)
-			if rep.ExactValue != exact {
-				t.Errorf("%s via %s: exact value %v, want the Dinic reference %v", name, via, rep.ExactValue, exact)
+		}
+	}
+	// The prune empties the core, so no quantization pass removes more for
+	// the analog backends.
+	var want *Report
+	for _, name := range []string{"dinic", "edmonds-karp", "push-relabel", "behavioral", "circuit", "lp"} {
+		p, err := NewProblem(empty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _ := solveVia(t, "registry", name, p)
+		if want == nil {
+			want = rep
+			if rep.PrunedVertices == 0 || rep.PrunedEdges == 0 {
+				t.Fatalf("dinic prunes %d vertices and %d edges of the empty-core instance", rep.PrunedVertices, rep.PrunedEdges)
 			}
-			if want := graph.RelativeError(rep.FlowValue, exact); rep.RelativeError != want {
-				t.Errorf("%s via %s: relative error %v, want %v", name, via, rep.RelativeError, want)
-			}
-			if exactMemoCold(p) {
-				t.Errorf("%s via %s: the Dinic reference was not memoised", name, via)
-			}
+		} else if rep.PrunedVertices != want.PrunedVertices || rep.PrunedEdges != want.PrunedEdges {
+			t.Errorf("%s prunes %d vertices and %d edges, dinic %d and %d",
+				name, rep.PrunedVertices, rep.PrunedEdges, want.PrunedVertices, want.PrunedEdges)
 		}
 	}
 }
@@ -190,7 +284,7 @@ func TestWithUpdateSeedsIdentityCore(t *testing.T) {
 		t.Fatalf("capacities: base %v (want %v), updated %v (want %v)",
 			g.Edge(7).Capacity, before, p2.Graph().Edge(7).Capacity, before+2)
 	}
-	rep := solveVia(t, "registry", "push-relabel", p2)
+	rep, _ := solveVia(t, "registry", "push-relabel", p2)
 	exact, err := maxflow.OptimalValue(p2.Graph())
 	if err != nil {
 		t.Fatal(err)

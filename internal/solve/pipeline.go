@@ -3,6 +3,7 @@ package solve
 import (
 	"context"
 	"sync"
+	"time"
 
 	"analogflow/internal/core"
 	"analogflow/internal/decompose"
@@ -91,13 +92,12 @@ func (p *Problem) Prepared() (*core.Prepared, error) {
 
 // ExactValue returns the exact maximum flow of the instance, computed once
 // with Dinic's algorithm on the s-t core (which has the same max-flow value
-// as the original by construction) and then shared by the relative-error
-// reporting of every backend that does not certify its own optimum (see
-// cpuSolver).  The memo is the one the problem's core.Prepared bundle
-// reads, so the whole problem runs at most one reference solve, and the
-// pure-CPU backends never force the quantize stage to reach it.  A
-// cancelled computation is not memoised, so a later call with a live
-// context retries.
+// as the original by construction) and then shared by every report that
+// does not certify its own optimum (see finish).  The memo is the one the
+// problem's core.Prepared bundle reads, so the whole problem runs at most
+// one reference solve, and the pure-CPU backends never force the quantize
+// stage to reach it.  A cancelled computation is not memoised, so a later
+// call with a live context retries.
 func (p *Problem) ExactValue(ctx context.Context) (float64, error) {
 	coreG, _ := p.STCore()
 	return p.pipe.exact.Value(ctx, coreG)
@@ -136,14 +136,58 @@ func (p *Problem) partitionInto(pt decompose.Partitioner, regions int) (decompos
 	return part, nil
 }
 
-// fillExact stamps the shared exact reference value and the resulting
-// relative error onto a report.
-func (p *Problem) fillExact(ctx context.Context, rep *Report) error {
-	exact, err := p.ExactValue(ctx)
-	if err != nil {
-		return err
+// proof is what a report's exact value rests on.
+type proof int
+
+const (
+	// reference: nothing proves the flow optimal, so the report reads the
+	// problem's Dinic reference (analog readings, lp, decompositions and a
+	// failed certificate).
+	reference proof = iota
+	// certified: the solve's residual network certified the flow optimal.
+	certified
+	// dinicFlow: the flow is Dinic's own on the s-t core, the reference
+	// itself.
+	dinicFlow
+)
+
+// finish completes a backend's report on p; every built-in report passes
+// through it.  It names the report and stamps wall, the kernel time the
+// backend measured.  A non-nil f is a flow on p's s-t core, which finish maps
+// to the original edge indexing (the report takes f's edge slice) together
+// with the prune counts.  A nil f leaves the flow the backend set: an analog
+// report carries core's expanded flow and the counts of both prune passes,
+// and a decomposition reports a value alone.  The exact value is FlowValue
+// when pf is certified and the problem's Dinic reference otherwise; the
+// relative error follows from the two.
+func (p *Problem) finish(ctx context.Context, name string, rep *Report, f *graph.Flow, pf proof, wall time.Duration) (*Report, error) {
+	if pf == dinicFlow {
+		// A Dinic solve of the core is bit-identical to the reference
+		// computation the memo would run, so seed it instead of solving
+		// twice.
+		p.pipe.exact.Seed(f.Value)
 	}
-	rep.ExactValue = exact
-	rep.RelativeError = graph.RelativeError(rep.FlowValue, exact)
-	return nil
+	if f != nil {
+		if _, pr := p.STCore(); pr != nil {
+			if pr.Graph != p.g {
+				f = pr.ExpandFlow(p.g, f)
+			}
+			rep.PrunedVertices, rep.PrunedEdges = pr.RemovedVertices, pr.RemovedEdges
+		}
+		rep.FlowValue, rep.EdgeFlows = f.Value, f.Edge
+	}
+	// A certified value proves itself and seeds no memo: the other exact
+	// algorithms may differ from Dinic in the last ulp, and the shared
+	// reference must not depend on backend order.
+	rep.ExactValue = rep.FlowValue
+	if pf != certified {
+		exact, err := p.ExactValue(ctx)
+		if err != nil {
+			return nil, err
+		}
+		rep.ExactValue = exact
+	}
+	rep.RelativeError = graph.RelativeError(rep.FlowValue, rep.ExactValue)
+	rep.Solver, rep.WallTime = name, wall
+	return rep, nil
 }

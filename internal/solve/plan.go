@@ -562,7 +562,7 @@ func solvePlanned(ctx context.Context, sol Solver, p *Problem, plan *Plan, part 
 		res = fres
 	}
 	oracle.consensus = res.State
-	elapsed := time.Since(start)
+	wall := time.Since(start)
 	planned := *plan
 	planned.Regions = res.Regions
 	planned.RegionVertices = res.SubproblemSizes
@@ -571,16 +571,6 @@ func solvePlanned(ctx context.Context, sol Solver, p *Problem, plan *Plan, part 
 	planned.RegionSkips = res.RegionSkips + quickSkips
 	planned.WarmStart = warmStart
 	planned.Escalated = escalated
-	rep := &Report{
-		Solver:     sol.Name(),
-		FlowValue:  res.FlowValue,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Plan:       &planned,
-		WallTime:   elapsed,
-	}
-	if err := p.fillExact(ctx, rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	rep := &Report{FlowValue: res.FlowValue, Iterations: res.Iterations, Converged: res.Converged, Plan: &planned}
+	return p.finish(ctx, sol.Name(), rep, nil, reference, wall)
 }

@@ -358,7 +358,6 @@ func (s *Service) solve(ctx context.Context, req Request) (*Report, error) {
 	if rep, routed, _, err := s.planAndRoute(ctx, sol, nil, req.Problem, req.Updatable); routed {
 		return rep, err
 	}
-	start := time.Now()
 	var rep *Report
 	us, updatable := sol.(UpdatableSolver)
 	w, warmable := sol.(Warmable)
@@ -381,10 +380,6 @@ func (s *Service) solve(ctx context.Context, req Request) (*Report, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	rep.Solver = sol.Name()
-	if rep.WallTime == 0 {
-		rep.WallTime = time.Since(start)
 	}
 	return rep, nil
 }
@@ -842,7 +837,6 @@ func (s *Service) update(ctx context.Context, req UpdateRequest) (*UpdateResult,
 		return &UpdateResult{Report: rep, Problem: target, Warm: warm,
 			Structural: structural, SlackRemaining: target.StructuralSlack()}, nil
 	}
-	start := time.Now()
 	var rep *Report
 	warm := false
 	if us, ok := sol.(UpdatableSolver); ok {
@@ -854,10 +848,6 @@ func (s *Service) update(ctx context.Context, req UpdateRequest) (*UpdateResult,
 	}
 	if err != nil {
 		return nil, err
-	}
-	rep.Solver = sol.Name()
-	if rep.WallTime == 0 {
-		rep.WallTime = time.Since(start)
 	}
 	return &UpdateResult{Report: rep, Problem: target, Warm: warm,
 		Structural: structural, SlackRemaining: target.StructuralSlack()}, nil

@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"analogflow/internal/graph"
 	"analogflow/internal/jsonenc"
 )
 
@@ -45,7 +44,9 @@ type Solver interface {
 	// Describe returns a one-line human-readable description.
 	Describe() string
 	// Solve runs the backend on the problem.  Implementations must honour
-	// context cancellation and must not mutate the problem's graph.
+	// context cancellation and must not mutate the problem's graph.  The
+	// report comes back final, named after the backend: neither the
+	// registry nor the service fills in a field.
 	Solve(ctx context.Context, p *Problem) (*Report, error)
 }
 
@@ -110,12 +111,12 @@ type Report struct {
 	// capacity units.
 	FlowValue float64 `json:"flow_value"`
 	// ExactValue is the exact maximum flow of the instance and
-	// RelativeError the deviation of FlowValue from it.  Push-relabel and
-	// Edmonds-Karp reports certify their own optimum from the residual
-	// network (maxflow.Network.Certify), so ExactValue = FlowValue and
-	// RelativeError = 0; should the certificate fail they fall back to the
-	// reference.  Every other report reads the reference: one Dinic solve
-	// of the s-t core per problem, which a dinic report seeds.
+	// RelativeError is graph.RelativeError(FlowValue, ExactValue).
+	// Push-relabel and Edmonds-Karp reports certify their own optimum from
+	// the residual network (maxflow.Network.Certify), so ExactValue =
+	// FlowValue and RelativeError = 0; should the certificate fail they fall
+	// back to the reference.  Every other report reads the reference: one
+	// Dinic solve of the s-t core per problem, which a dinic report seeds.
 	ExactValue    float64 `json:"exact_value"`
 	RelativeError float64 `json:"relative_error"`
 	// EdgeFlows is the per-edge flow on the original graph's edge indexing,
@@ -142,12 +143,26 @@ type Report struct {
 	// exceeds the configured substrate budget through the N-region
 	// decomposition.  Nil when the solve ran without a planner.
 	Plan *Plan `json:"plan,omitempty"`
-	// WallTime is the host wall-clock duration of the solver proper —
-	// backends stamp it around their core computation, excluding the
-	// problem's shared lazy preprocessing and the exact-reference solve
-	// that may run on the first request, so cross-backend timings compare
-	// like for like.  It is the one non-deterministic field; comparisons of
-	// otherwise identical runs must ignore it (Normalized strips it).
+	// WallTime is the host wall-clock time the backend measured around its
+	// kernel.  The problem's shared lazy preprocessing (prune, quantize,
+	// partition) is outside every span; what is inside depends on the
+	// backend:
+	//   - dinic, edmonds-karp, push-relabel: the max-flow solve on the s-t
+	//     core, without the certificate, the flow expansion or the
+	//     reference; a repeat answered from the one-shot cache carries its
+	//     first solve's time;
+	//   - lp: the simplex run, and 0 when the s-t core has no edges, since
+	//     no simplex runs;
+	//   - behavioral, circuit: the session solve, whose finalize step
+	//     expands the flow and reads the Dinic reference, running the
+	//     reference solve when the problem has none yet (an updatable
+	//     session re-augments its warm reference network there);
+	//   - decompose: the decomposition run;
+	//   - a sharded solve: its consensus runs and the reference reads of
+	//     their acceptance check, which run the reference solve when the
+	//     problem has none yet.
+	// It is the one non-deterministic field; comparisons of otherwise
+	// identical runs must ignore it (Normalized strips it).
 	WallTime time.Duration `json:"wall_time_ns"`
 }
 
@@ -237,13 +252,6 @@ func (r *Report) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// flowReport converts a flow on the original graph into the common report
-// fields shared by the exact backends.  The report takes f's edge slice, so
-// callers pass a flow nothing else holds.
-func flowReport(name string, f *graph.Flow) *Report {
-	return &Report{Solver: name, FlowValue: f.Value, EdgeFlows: f.Edge}
-}
-
 // ErrUnknownSolver is returned when a registry lookup fails; the error
 // string names the missing solver.
 var ErrUnknownSolver = errors.New("solve: unknown solver")
@@ -313,10 +321,9 @@ func (r *Registry) namesLocked() []string {
 	return names
 }
 
-// Solve looks up the named solver, runs it and stamps the report with the
-// solver name and wall time.  It is the convenience path for one-shot
-// clients (cmd/maxflow); batch traffic should go through Service, which adds
-// instance caching and bounded concurrency.
+// Solve looks up the named solver and runs it.  It is the convenience path
+// for one-shot clients (cmd/maxflow); batch traffic should go through
+// Service, which adds instance caching and bounded concurrency.
 func (r *Registry) Solve(ctx context.Context, name string, p *Problem) (*Report, error) {
 	s, err := r.Get(name)
 	if err != nil {
@@ -325,14 +332,5 @@ func (r *Registry) Solve(ctx context.Context, name string, p *Problem) (*Report,
 	if p == nil {
 		return nil, fmt.Errorf("solve: nil problem")
 	}
-	start := time.Now()
-	rep, err := s.Solve(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	rep.Solver = s.Name()
-	if rep.WallTime == 0 {
-		rep.WallTime = time.Since(start)
-	}
-	return rep, nil
+	return s.Solve(ctx, p)
 }
